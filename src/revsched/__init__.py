@@ -8,7 +8,7 @@ simulation engines with a replication harness.
 """
 
 from .allocation import AllocationVector, FapResult, optimize
-from .errors import ConfigError, NumericalError, RevschedError
+from .errors import ConfigError, InvariantError, NumericalError, RevschedError
 from .queueing import QueueParams, pi0, stationary, stream_revenue, total_revenue
 from .sim import ReplicationSummary, SimMetrics, replicate, run_ctmc, run_trace
 from .streams import (Job, StreamSpec, WorkloadSpec, is_overloaded, load_workload,
@@ -17,7 +17,7 @@ from .zindex import PriorityTable, build_table, priority
 
 __all__ = [
     "AllocationVector", "FapResult", "optimize",
-    "ConfigError", "NumericalError", "RevschedError",
+    "ConfigError", "InvariantError", "NumericalError", "RevschedError",
     "QueueParams", "pi0", "stationary", "stream_revenue", "total_revenue",
     "ReplicationSummary", "SimMetrics", "replicate", "run_ctmc", "run_trace",
     "Job", "StreamSpec", "WorkloadSpec", "is_overloaded", "load_workload",

@@ -67,10 +67,12 @@ def cmd_sdp(args) -> int:
     solution = dp.solve(model, tol=args.tol)
     lines = ["quantity,value",
              f"gain,{repr(solution.gain)}",
-             f"iterations,{solution.iterations}"]
+             f"iterations,{solution.iterations}",
+             f"cap,{solution.cap}",
+             f"tail_bound,{repr(solution.tail_bound)}"]
     if args.policy_table:
         lines.append("l1,l2,action")
-        cap = solution.policy.shape[0] - 1
+        cap = solution.cap
         lines.extend(f"{l1},{l2},{int(solution.policy[l1, l2])}"
                      for l1 in range(cap + 1) for l2 in range(cap + 1))
     _write_output("\n".join(lines) + "\n", args.out)
@@ -183,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sdp = sub.add_parser("sdp", help="two-stream optimal gain")
     p_sdp.add_argument("workload")
-    p_sdp.add_argument("--cap", type=int, default=dp.DEFAULT_CAP)
+    p_sdp.add_argument("--cap", type=int, default=None,
+                       help="queue-length cap (default: sized from the analytic tail)")
     p_sdp.add_argument("--tol", type=float, default=dp.DEFAULT_TOL)
     p_sdp.add_argument("--policy-table", action="store_true")
     p_sdp.add_argument("--out")

@@ -4,22 +4,41 @@ The two-queue continuous-time decision process (arrivals, per-job deadline
 expiries, and a serve-one-queue action) is uniformized at a dominating
 rate and solved by relative value iteration with the span seminorm as the
 stopping rule. Queue lengths are truncated at a cap; arrivals into a full
-queue are lost, and cap adequacy can be checked against the analytic tail
-mass and by doubling the cap.
+queue are lost.
+
+Unless a cap is given, the model sizes it from the analytic tail: the
+smallest cap at which each stream's share-0 queue (drained only by
+deadlines, so Poisson(r/d) long) holds at most ``CAP_TAIL_TOL`` of its
+mass at or beyond the cap. Every policy's queue is stochastically smaller
+than that one, so the bound covers the optimal policy too. The sized cap
+never exceeds ``DEFAULT_CAP``; the solution reports the bound it reached
+(``tail_bound``), which exceeds the tolerance only when that ceiling was
+too small. The uniformization rate grows with the cap, and with it the
+number of sweeps, so a tight cap is also a fast one. With the tail this
+small, the gain's leftover error comes from the span stopping rule
+(``tol``), not from the truncation.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .queueing import QueueParams, stationary
+from .queueing import DEFAULT_TOL as SERIES_TOL
+from .queueing import MAX_TERMS, QueueParams
 from .sim import QueuePolicy
 from .streams import StreamSpec
 
+logger = logging.getLogger(__name__)
+
+#: Ceiling of the sized cap.
 DEFAULT_CAP = 150
+#: Largest share-0 tail mass at or beyond a sized cap.
+CAP_TAIL_TOL = 1e-12
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 10**6
 
@@ -30,11 +49,28 @@ IDLE, SERVE_1, SERVE_2 = 0, 1, 2
 class SdpModel:
     stream1: StreamSpec
     stream2: StreamSpec
-    cap: int = DEFAULT_CAP
+    cap: int | None = None  # None: sized from the share-0 tail
 
     def __post_init__(self):
-        if self.cap < 1:
+        if self.cap is None:
+            object.__setattr__(self, "cap", self._sized_cap())
+            if self.tail_bound > CAP_TAIL_TOL:
+                logger.warning("queue cap %d leaves tail mass %.3g > %g",
+                               self.cap, self.tail_bound, CAP_TAIL_TOL)
+        elif self.cap < 1:
             raise ConfigError(f"cap must be >= 1, got {self.cap}")
+
+    def _sized_cap(self) -> int:
+        for cap in range(1, DEFAULT_CAP):
+            if all(tail_mass(s, 0.0, cap - 1) <= CAP_TAIL_TOL
+                   for s in (self.stream1, self.stream2)):
+                return cap
+        return DEFAULT_CAP
+
+    @property
+    def tail_bound(self) -> float:
+        """Largest share-0 stationary mass at or beyond the cap."""
+        return max(tail_mass(s, 0.0, self.cap - 1) for s in (self.stream1, self.stream2))
 
     @property
     def uniformization_rate(self) -> float:
@@ -50,13 +86,39 @@ class SdpSolution:
     bias: np.ndarray = field(repr=False)
     policy: np.ndarray = field(repr=False)  # action per (l1, l2)
     iterations: int
+    cap: int
+    tail_bound: float  # SdpModel.tail_bound of the solved model
 
 
 def tail_mass(stream: StreamSpec, share: float, cap: int) -> float:
-    """Stationary probability mass beyond the cap under a fixed share."""
+    """Stationary probability mass beyond the cap under a fixed share.
+
+    This is pi0 times the sum of the stationary weights beyond the cap,
+    with pi0's normalizer summed in the same pass. Every weight is taken
+    relative to the weight of state ``cap`` (the head summed down to 0, the
+    tail up until its terms are negligible), so there is no ``1 - head``
+    cancellation, and a queue whose pi0 underflows still gets a tail near 1.
+    """
+    if cap < 0:
+        raise ConfigError(f"cap must be >= 0, got {cap}")
     p = QueueParams(stream.arrival_rate, stream.service_rate * share, stream.deadline_rate)
-    head = sum(stationary(p, l) for l in range(cap + 1))
-    return max(0.0, 1.0 - head)
+    r, a, d = p.arrival_rate, p.aggregate_service, p.deadline_rate
+    head = term = 1.0
+    for l in range(cap, 0, -1):
+        term *= (a + l * d) / r
+        head += term
+    tail = 0.0
+    term = 1.0
+    for l in range(cap + 1, cap + MAX_TERMS):
+        ratio = r / (a + l * d)
+        term *= ratio
+        tail += term
+        if math.isinf(tail):
+            return 1.0
+        if ratio < 1.0 and term <= SERIES_TOL * tail:
+            return tail / (head + tail)
+    raise NumericalError(f"tail series did not converge within {MAX_TERMS} terms "
+                         f"(r={r}, a={a}, d={d})")
 
 
 def solve(model: SdpModel, tol: float = DEFAULT_TOL,
@@ -114,7 +176,7 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL,
                    & np.broadcast_to(l2 == 0, policy.shape)] = IDLE
             policy[0, 1:] = SERVE_2
             policy[1:, 0] = SERVE_1
-            return SdpSolution(gain, V, policy, it)
+            return SdpSolution(gain, V, policy, it, L, model.tail_bound)
     raise NumericalError(f"value iteration did not converge in {max_iters} iterations")
 
 

@@ -11,3 +11,7 @@ class ConfigError(RevschedError):
 
 class NumericalError(RevschedError):
     """A numeric routine failed to converge or hit its safety cap."""
+
+
+class InvariantError(RevschedError):
+    """A simulation broke one of its own invariants (a bug, not bad input)."""

@@ -176,7 +176,7 @@ class Table1Outcome:
 
 def run_table1_experiment(experiment_id: int, seed: int = 0, reps: int = 20,
                           horizon: float = TABLE1_HORIZON, include_sdp: bool = False,
-                          sdp_cap: int = dp.DEFAULT_CAP) -> Table1Outcome:
+                          sdp_cap: int | None = None) -> Table1Outcome:
     workload = table1_workload(experiment_id, seed, horizon)
     specs = workload.streams
     fap_result = allocation.optimize(list(specs))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .streams import Job, StreamSpec
 
 #: Simultaneous events are processed expiry < completion < arrival.
@@ -58,14 +58,14 @@ class SimMetrics:
         for i in range(len(self.arrivals)):
             flow = self.completions[i] + self.expirations[i] + self.still_pending[i]
             if flow != self.arrivals[i]:
-                raise AssertionError(
+                raise InvariantError(
                     f"stream {i}: arrivals {self.arrivals[i]} != "
                     f"completions+expirations+pending {flow}")
         if not (-1e-9 <= self.busy_time <= self.horizon + 1e-6):
-            raise AssertionError(f"busy_time {self.busy_time} outside [0, horizon]")
+            raise InvariantError(f"busy_time {self.busy_time} outside [0, horizon]")
         if self.useful_time is not None and not (
                 -1e-9 <= self.useful_time <= self.busy_time + 1e-6):
-            raise AssertionError(
+            raise InvariantError(
                 f"useful_time {self.useful_time} exceeds busy_time {self.busy_time}")
 
 
@@ -213,7 +213,7 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
     while True:
         running = policy.choose(now)
         if running is None and policy.has_runnable():
-            raise AssertionError("policy idled with runnable jobs pending")
+            raise InvariantError("policy idled with runnable jobs pending")
         while deadline_heap and not deadline_heap[0][2]._live:
             heapq.heappop(deadline_heap)
         next_arrival = trace[idx].arrival if idx < len(trace) else math.inf

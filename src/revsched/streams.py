@@ -86,9 +86,13 @@ class WorkloadSpec:
         return replace(self, seed=seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
-    """One sampled request."""
+    """One sampled request.
+
+    Jobs compare by identity, so ``in`` and ``list.remove`` find the very
+    object passed even when another job has equal fields.
+    """
 
     stream: int
     arrival: float
@@ -96,6 +100,8 @@ class Job:
     exec_remaining: float
     deadline_abs: float
     reward: float
+    #: Set by the trace engine while the job is queued or running.
+    _live: bool = field(default=False, init=False, repr=False)
 
     def fresh_copy(self) -> "Job":
         """Copy with full execution requirement restored (for reruns)."""

@@ -55,6 +55,19 @@ def test_sdp_subcommand(e1_workload, tmp_path):
     assert lines[0] == "quantity,value"
     gain = float(lines[1].split(",")[1])
     assert gain > 0
+    assert lines[2].startswith("iterations,")
+    assert lines[3] == "cap,40"
+    assert lines[4].startswith("tail_bound,")
+    assert float(lines[4].split(",")[1]) < 1e-12
+
+
+def test_sdp_subcommand_sizes_the_cap(e1_workload, tmp_path):
+    out = tmp_path / "sdp.csv"
+    assert main(["sdp", e1_workload, "--policy-table", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[3] == "cap,22"
+    assert lines[5] == "l1,l2,action"
+    assert len(lines) == 6 + 23 * 23
 
 
 def test_sdp_rejects_wrong_stream_count(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Average-reward value iteration oracle for two streams."""
 
+import hashlib
+import logging
+
+import mpmath
 import numpy as np
 import pytest
 
-from revsched.dp import (IDLE, SERVE_1, SERVE_2, SdpModel, SdpQueuePolicy,
-                         gap_percent, solve, tail_mass)
+from revsched import presets
+from revsched.dp import (CAP_TAIL_TOL, DEFAULT_CAP, IDLE, SERVE_1, SERVE_2,
+                         SdpModel, SdpQueuePolicy, gap_percent, solve, tail_mass)
 from revsched.errors import ConfigError
-from revsched.queueing import QueueParams, pi0
+from revsched.queueing import QueueParams, pi0, stationary
 from revsched.streams import StreamSpec
 
 E1 = (StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0),
@@ -130,3 +135,77 @@ def test_invalid_model():
         SdpModel(*E1, cap=0)
     with pytest.raises(ConfigError):
         solve(SdpModel(*E1, cap=10), tol=0.0)
+
+
+def test_tail_mass_matches_poisson_tail_at_1e12():
+    # share 0: the queue drains only by deadlines, so its length is
+    # Poisson(r/d); compare against the upper tail summed in high precision
+    for s in (E1[0], StreamSpec(0, 0.5, 600.0, 10.0, 1.0),
+              StreamSpec(0, 1.0, 600.0, 20.0, 1.0)):
+        cap = next(c for c in range(200) if tail_mass(s, 0.0, c) < 1e-12)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(s.arrival_rate) * mpmath.mpf(s.mean_deadline)
+            exact = mpmath.nsum(lambda k: mpmath.exp(-x) * x**k / mpmath.factorial(k),
+                                [cap + 1, mpmath.inf])
+        assert 1e-13 < exact < 1e-12
+        assert tail_mass(s, 0.0, cap) == pytest.approx(float(exact), rel=1e-9, abs=0)
+
+
+def test_tail_mass_agrees_with_one_minus_head():
+    # where the tail is large enough for 1 - head to be accurate, the two
+    # formulas must agree
+    for s in (E1[0], StreamSpec(0, 0.5, 600.0, 10.0, 1.0)):
+        for share in (0.0, 0.3, 1.0):
+            p = QueueParams(s.arrival_rate, s.service_rate * share, s.deadline_rate)
+            for cap in range(0, 12):
+                old = 1.0 - sum(stationary(p, l) for l in range(cap + 1))
+                if old >= 1e-6:
+                    assert tail_mass(s, share, cap) == pytest.approx(old, rel=1e-8, abs=0)
+
+
+def test_tail_mass_of_a_very_long_queue_is_near_one():
+    # r/d = 1e5: pi0 underflows, yet the tail beyond a small cap is ~1
+    s = StreamSpec(0, 100.0, 1.0, 1000.0, 1.0)
+    assert pi0(QueueParams(s.arrival_rate, 0.0, s.deadline_rate)) == 0.0
+    assert tail_mass(s, 0.0, 150) == pytest.approx(1.0)
+    with pytest.raises(ConfigError):
+        tail_mass(s, 0.0, -1)
+
+
+@pytest.mark.parametrize("eid", [1, 7, 13])
+def test_sized_cap_is_the_smallest_meeting_the_tail_tolerance(eid):
+    s1, s2 = presets.table1_workload(eid).streams
+    model = SdpModel(s1, s2)
+    cap = model.cap
+    assert 1 < cap < DEFAULT_CAP
+    assert model.tail_bound <= CAP_TAIL_TOL
+    assert all(tail_mass(s, 0.0, cap - 1) <= CAP_TAIL_TOL for s in (s1, s2))
+    assert any(tail_mass(s, 0.0, cap - 2) > CAP_TAIL_TOL for s in (s1, s2))
+
+
+def test_sized_gain_matches_a_generous_cap():
+    sized = solve(SdpModel(*E1))
+    generous = solve(SdpModel(*E1, cap=60), tol=1e-10)
+    assert sized.cap < 60
+    assert sized.tail_bound <= CAP_TAIL_TOL
+    assert sized.bias.shape == (sized.cap + 1, sized.cap + 1)
+    assert sized.gain == pytest.approx(generous.gain, rel=1e-6)
+
+
+def test_sized_cap_stops_at_the_ceiling_and_reports_the_bound(caplog):
+    s = StreamSpec(0, 0.2, 600.0, 1000.0, 1.0)  # r/d = 200
+    with caplog.at_level(logging.WARNING, logger="revsched.dp"):
+        model = SdpModel(s, s)
+    assert model.cap == DEFAULT_CAP
+    assert model.tail_bound > CAP_TAIL_TOL
+    assert "tail mass" in caplog.text
+
+
+def test_explicit_cap_solution_is_unchanged(e1_solution):
+    # bit-for-bit the solution of the fixed-cap solver
+    assert e1_solution.gain == 0.0015990547291100186
+    assert e1_solution.iterations == 1875
+    assert hashlib.sha256(e1_solution.bias.tobytes()).hexdigest() == (
+        "651b95557f4cba1e7eed195567412a975d50979a0e1f0b989da7ab2641a82aca")
+    assert e1_solution.cap == 60
+    assert e1_solution.tail_bound < 1e-50

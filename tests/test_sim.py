@@ -3,9 +3,10 @@
 import pytest
 
 from revsched.allocation import AllocationVector
-from revsched.errors import ConfigError
+from revsched.errors import ConfigError, InvariantError
 from revsched.policies import EdfPolicy, FapQueuePolicy, RedfPolicy
-from revsched.sim import derive_seed, replicate, run_ctmc, run_trace, summarize
+from revsched.sim import (SimMetrics, TracePolicy, derive_seed, replicate, run_ctmc,
+                          run_trace, summarize)
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
 
 SPEC1 = [StreamSpec(0, 0.001, 100.0, 500.0, 2.0)]
@@ -156,3 +157,23 @@ def test_unsorted_trace_rejected():
     trace = [job(0, 10.0, 5.0, 100.0), job(0, 5.0, 5.0, 100.0)]
     with pytest.raises(ConfigError):
         run_trace(SPEC1, trace, EdfPolicy(), 1000.0)
+
+
+def test_validate_raises_invariant_error():
+    lost_job = SimMetrics(100.0, [3], [1], [1], [1.0], 10.0, 10.0, [0])
+    with pytest.raises(InvariantError, match="arrivals"):
+        lost_job.validate()
+    overbusy = SimMetrics(100.0, [1], [1], [0], [1.0], 200.0, None, [0])
+    with pytest.raises(InvariantError, match="busy_time"):
+        overbusy.validate()
+
+
+class _IdlePolicy(TracePolicy):
+    def choose(self, now):
+        return None
+
+
+def test_idling_with_runnable_jobs_raises_invariant_error():
+    trace = [job(0, 10.0, 5.0, 100.0)]
+    with pytest.raises(InvariantError, match="idled"):
+        run_trace(SPEC1, trace, _IdlePolicy(), 1000.0)

@@ -100,6 +100,17 @@ def test_fresh_copy_restores_execution():
            (0, 1.0, 20.0, 2.0)
 
 
+def test_jobs_compare_by_identity():
+    a = Job(0, 1.0, 10.0, 10.0, 20.0, 2.0)
+    b = Job(0, 1.0, 10.0, 10.0, 20.0, 2.0)
+    assert a != b
+    pending = [a, b]
+    pending.remove(b)
+    assert pending[0] is a and len(pending) == 1
+    assert b not in pending
+    assert "_live" not in repr(a)
+
+
 def test_workload_from_dict_rate_xor_period():
     base = {"horizon": 1000.0, "seed": 1}
     ok = workload_from_dict({**base, "streams": [
