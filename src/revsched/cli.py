@@ -14,14 +14,13 @@ with the same seed yields byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import allocation, dp, policies, presets, queueing, sim, zindex
 from .errors import ConfigError, NumericalError, RevschedError
-from .streams import (WorkloadSpec, is_overloaded, load_workload, utilization,
-                      workload_from_dict)
+from .streams import (WorkloadSpec, is_overloaded, load_json, load_workload,
+                      utilization, workload_from_dict)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -69,7 +68,8 @@ def cmd_sdp(args) -> int:
              f"gain,{repr(solution.gain)}",
              f"iterations,{solution.iterations}",
              f"cap,{solution.cap}",
-             f"tail_bound,{repr(solution.tail_bound)}"]
+             f"tail_bound,{repr(solution.tail_bound)}",
+             f"gain_err,{repr(solution.gain_err)}"]
     if args.policy_table:
         lines.append("l1,l2,action")
         cap = solution.cap
@@ -79,16 +79,8 @@ def cmd_sdp(args) -> int:
     return 0
 
 
-def _load_run_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"run config not found: {path}")
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def cmd_simulate(args) -> int:
-    config = _load_run_config(args.config)
+    config = load_json(args.config, "run config")
     if "workload_file" in config:
         workload = load_workload(config["workload_file"])
     elif "workload" in config:

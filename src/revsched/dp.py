@@ -16,7 +16,10 @@ never exceeds ``DEFAULT_CAP``; the solution reports the bound it reached
 too small. The uniformization rate grows with the cap, and with it the
 number of sweeps, so a tight cap is also a fast one. With the tail this
 small, the gain's leftover error comes from the span stopping rule
-(``tol``), not from the truncation.
+(``tol``), not from the truncation. The last sweep brackets the gain
+between ``lam * diff.min()`` and ``lam * diff.max()`` (``lam`` the
+uniformization rate, ``diff`` the sweep's change in value); the solution
+returns the midpoint as ``gain`` and the half-width as ``gain_err``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ class SdpSolution:
     iterations: int
     cap: int
     tail_bound: float  # SdpModel.tail_bound of the solved model
+    gain_err: float  # stopping error: the capped model's gain is within gain ± gain_err
 
 
 def tail_mass(stream: StreamSpec, share: float, cap: int) -> float:
@@ -171,12 +175,13 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL,
         V = V_new
         if span < tol:
             gain = float(lam * 0.5 * (diff.max() + diff.min()))
+            gain_err = float(lam * span / 2)
             policy = np.where(q1 >= q2, SERVE_1, SERVE_2).astype(np.int8)
             policy[(np.broadcast_to(l1 == 0, policy.shape))
                    & np.broadcast_to(l2 == 0, policy.shape)] = IDLE
             policy[0, 1:] = SERVE_2
             policy[1:, 0] = SERVE_1
-            return SdpSolution(gain, V, policy, it, L, model.tail_bound)
+            return SdpSolution(gain, V, policy, it, L, model.tail_bound, gain_err)
     raise NumericalError(f"value iteration did not converge in {max_iters} iterations")
 
 

@@ -10,6 +10,7 @@ fractional sharing, and the priority-index rule over sampled jobs.
 from __future__ import annotations
 
 import math
+import numbers
 
 from . import allocation, zindex
 from .allocation import AllocationVector
@@ -69,6 +70,18 @@ def _edf_key(job: Job):
     return (job.deadline_abs, job.arrival, job.stream)
 
 
+def remaining_estimate(job: Job, knowledge: str, mean_exec) -> float:
+    """Remaining demand of ``job`` as a scheduler with ``knowledge`` sees it.
+
+    ``"exact"``: the true remaining execution. ``"mean"``: the stream's mean
+    execution time (``mean_exec[job.stream]``) less the service received.
+    """
+    if knowledge == "exact":
+        return job.exec_remaining
+    served = job.exec_total - job.exec_remaining
+    return max(mean_exec[job.stream] - served, 0.0)
+
+
 class RedfPolicy(TracePolicy):
     """EDF plus overload rejection of least-value jobs to a reject queue.
 
@@ -87,20 +100,13 @@ class RedfPolicy(TracePolicy):
     """
 
     def __init__(self, knowledge: str = "mean"):
-        if knowledge not in ("exact", "mean"):
-            raise ConfigError(f"knowledge must be 'exact' or 'mean', got {knowledge!r}")
+        _check_knowledge(knowledge)
         self.knowledge = knowledge
 
     def bind(self, specs):
         super().bind(specs)
         self._mean_exec = [s.mean_exec for s in specs]
         self.rejected: list[Job] = []
-
-    def _demand(self, job: Job) -> float:
-        if self.knowledge == "exact":
-            return job.exec_remaining
-        served = job.exec_total - job.exec_remaining
-        return max(self._mean_exec[job.stream] - served, 0.0)
 
     def on_arrival(self, job, now):
         self.pending.append(job)
@@ -124,7 +130,7 @@ class RedfPolicy(TracePolicy):
     def _feasible(self, now) -> bool:
         demand = 0.0
         for job in sorted(self.pending, key=_edf_key):
-            demand += self._demand(job)
+            demand += remaining_estimate(job, self.knowledge, self._mean_exec)
             if now + demand > job.deadline_abs + 1e-9:
                 return False
         return True
@@ -168,10 +174,10 @@ class RobustPolicy(TracePolicy):
     """
 
     def __init__(self, slack: float, knowledge: str = "exact"):
+        _require_finite("slack factor", slack)
         if not (slack > 1):
             raise ConfigError(f"slack factor must be > 1, got {slack}")
-        if knowledge not in ("exact", "mean"):
-            raise ConfigError(f"knowledge must be 'exact' or 'mean', got {knowledge!r}")
+        _check_knowledge(knowledge)
         self.slack = slack
         self.knowledge = knowledge
 
@@ -184,19 +190,23 @@ class RobustPolicy(TracePolicy):
         self.odd_est = 0.0
         self.even_end: float | None = None
 
-    def _est_remaining(self, job: Job) -> float:
-        if self.knowledge == "exact":
-            return job.exec_remaining
-        served = job.exec_total - job.exec_remaining
-        return max(self._mean_exec[job.stream] - served, 0.0)
-
     def _longest(self, now) -> Job:
-        eligible = [j for j in self.pending
-                    if self._est_remaining(j) <= j.deadline_abs - now]
-        candidates = eligible or self.pending
-        return max(candidates,
-                   key=lambda j: (self._est_remaining(j), -j.deadline_abs,
-                                  -j.arrival, -j.stream))
+        """Longest eligible pending job, else the longest pending job.
+
+        One pass keeps both maxima of the key (estimate, earliest deadline,
+        earliest arrival, lowest stream); a strict ``>`` keeps the first of
+        equal keys, as ``max`` does.
+        """
+        knowledge, mean_exec = self.knowledge, self._mean_exec
+        best = best_key = eligible = eligible_key = None
+        for job in self.pending:
+            est = remaining_estimate(job, knowledge, mean_exec)
+            key = (est, -job.deadline_abs, -job.arrival, -job.stream)
+            if best_key is None or key > best_key:
+                best, best_key = job, key
+            if est <= job.deadline_abs - now and (eligible_key is None or key > eligible_key):
+                eligible, eligible_key = job, key
+        return best if eligible is None else eligible
 
     def choose(self, now):
         if not self.pending:
@@ -207,7 +217,8 @@ class RobustPolicy(TracePolicy):
         if self.phase == "idle":
             self.odd_job = self._longest(now)
             self.odd_start = now
-            self.odd_est = self._est_remaining(self.odd_job)
+            self.odd_est = remaining_estimate(self.odd_job, self.knowledge,
+                                              self._mean_exec)
             self.phase = "odd"
         if self.phase == "odd":
             return self.odd_job
@@ -288,6 +299,7 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
     """
 
     def __init__(self, f: AllocationVector, quantum: float):
+        _require_finite("quantum", quantum)
         if not (quantum > 0):
             raise ConfigError(f"quantum must be > 0, got {quantum}")
         self.f = f
@@ -387,3 +399,15 @@ def make_policy(name: str, params: dict, specs, engine: str):
 def _require_trace(name, engine):
     if engine != "trace":
         raise ConfigError(f"policy {name!r} needs the trace engine, got {engine!r}")
+
+
+def _check_knowledge(knowledge) -> None:
+    if knowledge not in ("exact", "mean"):
+        raise ConfigError(f"knowledge must be 'exact' or 'mean', got {knowledge!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    """ConfigError unless ``value`` is a finite real number (a bool is not)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -191,6 +191,8 @@ class TracePolicy:
 
 def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> SimMetrics:
     """Replay a job trace under a trace policy up to the horizon."""
+    if not (0 <= horizon < math.inf):  # the arrival sentinel needs a finite horizon
+        raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
     n = len(specs)
     last = -math.inf
     for job in trace:
@@ -199,7 +201,11 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
         if job.exec_total <= 0 or job.exec_remaining < 0 or job.deadline_abs <= job.arrival:
             raise ConfigError(f"malformed job in trace: {job}")
         last = job.arrival
+    arrival_times = [job.arrival for job in trace]
+    arrival_times.append(math.inf)  # sentinel: no arrival after the last job
     policy.bind(specs)
+    choose, next_timer = policy.choose, policy.next_timer
+    heappush, heappop = heapq.heappush, heapq.heappop
     arrivals = [0] * n
     completions = [0] * n
     expirations = [0] * n
@@ -211,17 +217,19 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
     idx = 0
     now = 0.0
     while True:
-        running = policy.choose(now)
+        running = choose(now)
         if running is None and policy.has_runnable():
             raise InvariantError("policy idled with runnable jobs pending")
         while deadline_heap and not deadline_heap[0][2]._live:
-            heapq.heappop(deadline_heap)
-        next_arrival = trace[idx].arrival if idx < len(trace) else math.inf
-        next_completion = now + running.exec_remaining if running is not None else math.inf
-        next_deadline = deadline_heap[0][0] if deadline_heap else math.inf
-        timer = policy.next_timer(now)
-        next_timer = timer if timer is not None else math.inf
-        t_next = min(next_arrival, next_completion, next_deadline, next_timer)
+            heappop(deadline_heap)
+        t_next = arrival_times[idx]
+        if running is not None and now + running.exec_remaining < t_next:
+            t_next = now + running.exec_remaining
+        if deadline_heap and deadline_heap[0][0] < t_next:
+            t_next = deadline_heap[0][0]
+        timer = next_timer(now)
+        if timer is not None and timer < t_next:
+            t_next = timer
         if t_next > horizon:
             if running is not None:
                 busy_time += horizon - now
@@ -233,7 +241,7 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
         now = t_next
         # expiries first: a job completing exactly at its deadline is lost
         while deadline_heap and deadline_heap[0][0] <= now:
-            _, _, job = heapq.heappop(deadline_heap)
+            job = heappop(deadline_heap)[2]
             if not job._live:
                 continue
             job._live = False
@@ -248,12 +256,12 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
             revenue[running.stream] += running.reward
             useful_time += running.exec_total
             policy.on_completion(running, now)
-        while idx < len(trace) and trace[idx].arrival <= now:
+        while arrival_times[idx] <= now:
             job = trace[idx]
             idx += 1
             job._live = True
             arrivals[job.stream] += 1
-            heapq.heappush(deadline_heap, (job.deadline_abs, seq, job))
+            heappush(deadline_heap, (job.deadline_abs, seq, job))
             seq += 1
             policy.on_arrival(job, now)
         if timer is not None and timer <= now:

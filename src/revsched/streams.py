@@ -86,12 +86,13 @@ class WorkloadSpec:
         return replace(self, seed=seed)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Job:
     """One sampled request.
 
     Jobs compare by identity, so ``in`` and ``list.remove`` find the very
-    object passed even when another job has equal fields.
+    object passed even when another job has equal fields. Slotted: no
+    per-job ``__dict__``, and no attributes beyond the fields below.
     """
 
     stream: int
@@ -189,9 +190,17 @@ def workload_from_dict(data: dict) -> WorkloadSpec:
     return WorkloadSpec(tuple(streams), horizon, seed)
 
 
-def load_workload(path) -> WorkloadSpec:
+def load_json(path, what: str):
+    """Parse the JSON file ``path``; a missing or malformed file is a ConfigError."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"workload file not found: {path}")
-    with open(path) as fh:
-        return workload_from_dict(json.load(fh))
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_workload(path) -> WorkloadSpec:
+    return workload_from_dict(load_json(path, "workload file"))

@@ -81,15 +81,17 @@ class PriorityTable:
 
         Ties break toward the lowest stream id.
         """
-        if len(queue_lengths) != len(self.z):
+        z, limits = self.z, self.limit_value
+        if len(queue_lengths) != len(z):
             raise ConfigError(
-                f"got {len(queue_lengths)} queue lengths for {len(self.z)} streams")
+                f"got {len(queue_lengths)} queue lengths for {len(z)} streams")
         best = None
         best_z = -1.0
         for i, l in enumerate(queue_lengths):
             if l <= 0:
                 continue
-            zi = self.lookup(i, l)
+            row = z[i]  # inlined lookup(i, l)
+            zi = row[l - 1] if l <= len(row) else limits[i]
             if zi > best_z:
                 best = i
                 best_z = zi

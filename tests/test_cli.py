@@ -59,6 +59,8 @@ def test_sdp_subcommand(e1_workload, tmp_path):
     assert lines[3] == "cap,40"
     assert lines[4].startswith("tail_bound,")
     assert float(lines[4].split(",")[1]) < 1e-12
+    assert lines[5].startswith("gain_err,")
+    assert 0 < float(lines[5].split(",")[1]) < 1e-2 * gain
 
 
 def test_sdp_subcommand_sizes_the_cap(e1_workload, tmp_path):
@@ -66,8 +68,8 @@ def test_sdp_subcommand_sizes_the_cap(e1_workload, tmp_path):
     assert main(["sdp", e1_workload, "--policy-table", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[3] == "cap,22"
-    assert lines[5] == "l1,l2,action"
-    assert len(lines) == 6 + 23 * 23
+    assert lines[6] == "l1,l2,action"
+    assert len(lines) == 7 + 23 * 23
 
 
 def test_sdp_rejects_wrong_stream_count(tmp_path, capsys):
@@ -101,6 +103,42 @@ def test_simulate_missing_policy(tmp_path, capsys):
                      "horizon": 1000, "seed": 0}})
     assert main(["simulate", cfg]) == 1
     assert "policy" in capsys.readouterr().err
+
+
+def _assert_config_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_workload_json(tmp_path, capsys):
+    path = tmp_path / "wl.json"
+    path.write_text('{"streams": [')
+    _assert_config_error(main(["fap", str(path)]), capsys)
+
+
+def test_malformed_run_config_json(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("{'policy': 'edf'}")
+    _assert_config_error(main(["simulate", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("policy", [
+    {"name": "robust", "slack": "2"},
+    {"name": "robust", "slack": float("inf")},
+    {"name": "robust", "knowledge": 1},
+    {"name": "redf", "knowledge": ["mean"]},
+    {"name": "fap", "f": [0.5, 0.5], "quantum": "1"},
+    {"name": "fap", "f": [0.5, 0.5], "quantum": float("nan")},
+])
+def test_bad_policy_parameters(policy, tmp_path, capsys):
+    config = write_json(tmp_path / "run.json", {
+        "workload": {"streams": [
+            {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0},
+            {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0}],
+            "horizon": 2000, "seed": 0},
+        "policy": policy, "engine": "trace", "replications": 2})
+    _assert_config_error(main(["simulate", config]), capsys)
 
 
 def test_missing_workload_file(capsys):

@@ -209,3 +209,13 @@ def test_explicit_cap_solution_is_unchanged(e1_solution):
         "651b95557f4cba1e7eed195567412a975d50979a0e1f0b989da7ab2641a82aca")
     assert e1_solution.cap == 60
     assert e1_solution.tail_bound < 1e-50
+
+
+def test_gain_err_brackets_a_tighter_solve():
+    model = SdpModel(*E1)  # sized cap
+    loose = solve(model, tol=1e-6)
+    tight = solve(model, tol=1e-12)
+    assert abs(tight.gain - loose.gain) <= loose.gain_err
+    assert loose.gain_err < 10 * abs(tight.gain - loose.gain)  # not vacuous
+    assert tight.gain_err < loose.gain_err
+    assert solve(model).gain_err < 1e-5 * loose.gain  # the default tol

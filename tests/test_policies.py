@@ -1,13 +1,15 @@
 """Policy-level behavior on hand-built job traces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revsched.allocation import AllocationVector
 from revsched.errors import ConfigError
 from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy,
                                RedfPolicy, RobustPolicy, ZQueuePolicy,
                                ZTracePolicy, default_quantum, make_policy,
-                               resolve_allocation)
+                               remaining_estimate, resolve_allocation)
 from revsched.sim import run_trace
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
 from revsched.zindex import build_table
@@ -113,6 +115,8 @@ def test_redf_expired_rejects_are_dropped():
 def test_redf_invalid_knowledge():
     with pytest.raises(ConfigError):
         RedfPolicy(knowledge="psychic")
+    with pytest.raises(ConfigError):
+        RedfPolicy(knowledge=["mean"])
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +201,62 @@ def test_robust_invalid_params():
         RobustPolicy(slack=1.0)
     with pytest.raises(ConfigError):
         RobustPolicy(slack=2.0, knowledge="guess")
+    for slack in ("2", None, True, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            RobustPolicy(slack=slack)
+    with pytest.raises(ConfigError):
+        RobustPolicy(slack=2.0, knowledge=3)
+
+
+def _longest_by_max(policy, now):
+    """The two-pass selection `_longest` replaced, kept as its reference."""
+    def est(j):
+        return remaining_estimate(j, policy.knowledge, policy._mean_exec)
+    eligible = [j for j in policy.pending if est(j) <= j.deadline_abs - now]
+    return max(eligible or policy.pending,
+               key=lambda j: (est(j), -j.deadline_abs, -j.arrival, -j.stream))
+
+
+# few distinct values, so exact key ties and empty eligible sets are common
+_pending_jobs = st.lists(
+    st.builds(lambda stream, arrival, total, served, window:
+              Job(stream, arrival, total, total - served * total, arrival + window, 1.0),
+              st.integers(0, 1), st.sampled_from([0.0, 1.0, 2.0]),
+              st.sampled_from([5.0, 10.0, 20.0]), st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from([1.0, 10.0, 30.0])),
+    min_size=1, max_size=8)
+
+
+@given(pending=_pending_jobs, now=st.sampled_from([0.0, 2.0, 15.0, 40.0]),
+       knowledge=st.sampled_from(["exact", "mean"]))
+@settings(max_examples=300, deadline=None)
+def test_robust_longest_matches_two_pass_max(pending, now, knowledge):
+    policy = RobustPolicy(slack=2.0, knowledge=knowledge)
+    policy.bind(specs2(mean_exec0=10.0, mean_exec1=20.0))
+    policy.pending = pending
+    assert policy._longest(now) is _longest_by_max(policy, now)
+
+
+def test_robust_longest_ties_and_no_eligible_job():
+    policy = RobustPolicy(slack=2.0, knowledge="exact")
+    policy.bind(specs2())
+    a, b = job(0, 0.0, 5.0, 50.0), job(0, 0.0, 5.0, 50.0)  # equal keys
+    policy.pending = [a, b]
+    assert policy._longest(0.0) is a  # the first of equal keys, as max() keeps
+    # neither fits at t=48: the longest pending job runs anyway
+    c = job(1, 0.0, 9.0, 50.0)
+    policy.pending = [a, c, b]
+    assert policy._longest(48.0) is c
+    # at t=42 only the short ones fit, and they beat the longer c
+    assert policy._longest(42.0) is a
+
+
+def test_remaining_estimate_modes():
+    j = job(1, 0.0, 30.0, 100.0)
+    j.exec_remaining = 26.0  # 4 served
+    assert remaining_estimate(j, "exact", [10.0, 20.0]) == 26.0
+    assert remaining_estimate(j, "mean", [10.0, 20.0]) == 16.0
+    assert remaining_estimate(j, "mean", [10.0, 3.0]) == 0.0  # past the mean
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +296,12 @@ def test_fap_round_robin_redistributes_idle_shares():
 
 def test_default_quantum_scale():
     assert default_quantum(specs2()) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("quantum", [0.0, "1", None, True, float("inf"), float("nan")])
+def test_fap_round_robin_invalid_quantum(quantum):
+    with pytest.raises(ConfigError):
+        FapRoundRobinPolicy(AllocationVector((0.5, 0.5)), quantum=quantum)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,12 @@ def test_unsorted_trace_rejected():
         run_trace(SPEC1, trace, EdfPolicy(), 1000.0)
 
 
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0])
+def test_bad_trace_horizon_rejected(horizon):
+    with pytest.raises(ConfigError):
+        run_trace(SPEC1, [job(0, 10.0, 5.0, 100.0)], EdfPolicy(), horizon)
+
+
 def test_validate_raises_invariant_error():
     lost_job = SimMetrics(100.0, [3], [1], [1], [1.0], 10.0, 10.0, [0])
     with pytest.raises(InvariantError, match="arrivals"):

@@ -111,6 +111,15 @@ def test_jobs_compare_by_identity():
     assert "_live" not in repr(a)
 
 
+def test_jobs_are_slotted():
+    a = Job(0, 1.0, 10.0, 10.0, 20.0, 2.0)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    a._live = True  # the declared engine flag is a slot
+    assert a._live and a == a and a != a.fresh_copy()
+
+
 def test_workload_from_dict_rate_xor_period():
     base = {"horizon": 1000.0, "seed": 1}
     ok = workload_from_dict({**base, "streams": [

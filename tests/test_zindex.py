@@ -106,6 +106,28 @@ def test_select_breaks_ties_toward_low_id():
     assert table.select([4, 4]) == 0
 
 
+def _select_by_lookup(table, lengths):
+    """Reference for the inlined `select`: one `lookup` per nonempty stream."""
+    best, best_z = None, -1.0
+    for i, l in enumerate(lengths):
+        if l > 0 and table.lookup(i, l) > best_z:
+            best, best_z = i, table.lookup(i, l)
+    return best
+
+
+_TIE_TABLE = build_table([StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0),
+                          StreamSpec(1, 1 / 350, 600.0, 1000.0, 1.0),
+                          StreamSpec(2, 1 / 350, 900.0, 500.0, 1.3)],
+                         AllocationVector((0.3, 0.3, 0.4)), 8)
+
+
+@given(lengths=st.lists(st.integers(-1, 12), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_select_matches_lookup_reference(lengths):
+    # l_max is 8, so lengths 9..12 take the limit value; streams 0 and 1 tie
+    assert _TIE_TABLE.select(lengths) == _select_by_lookup(_TIE_TABLE, lengths)
+
+
 def test_bad_arguments_rejected():
     specs, table = make_table()
     with pytest.raises(ConfigError):
