@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import allocation, dp, policies, presets, queueing, sim, zindex
+from . import allocation, dp, policies, presets, zindex
 from .errors import ConfigError, NumericalError, RevschedError
 from .streams import (WorkloadSpec, is_overloaded, load_json, load_workload,
                       utilization, workload_from_dict)

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .queueing import DEFAULT_TOL as SERIES_TOL
-from .queueing import MAX_TERMS, QueueParams
+from .queueing import MAX_TERMS, SERIES_TOL, QueueParams
 from .sim import QueuePolicy
 from .streams import StreamSpec
 
@@ -43,7 +42,8 @@ DEFAULT_CAP = 150
 #: Largest share-0 tail mass at or beyond a sized cap.
 CAP_TAIL_TOL = 1e-12
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITERS = 10**6
+#: Hard cap on sweeps; exceeding it signals a numerical fault.
+MAX_ITERS = 10**6
 
 IDLE, SERVE_1, SERVE_2 = 0, 1, 2
 
@@ -125,8 +125,7 @@ def tail_mass(stream: StreamSpec, share: float, cap: int) -> float:
                          f"(r={r}, a={a}, d={d})")
 
 
-def solve(model: SdpModel, tol: float = DEFAULT_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
+def solve(model: SdpModel, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Relative value iteration on the uniformized chain."""
     if not (tol > 0):
         raise ConfigError(f"tol must be > 0, got {tol}")
@@ -150,7 +149,7 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL,
     up2 = np.empty_like(V)
     dn1 = np.empty_like(V)
     dn2 = np.empty_like(V)
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         up1[:-1, :] = V[1:, :]
         up1[-1, :] = V[-1, :]  # arrival lost at the cap
         up2[:, :-1] = V[:, 1:]
@@ -160,14 +159,13 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL,
         dn2[:, 1:] = V[:, :-1]
         dn2[:, 0] = 0.0
         common = r1 * up1 + r2 * up2 + exp1 * dn1 + exp2 * dn2
-        q_idle = common + (lam - base_out) * V
         q1 = np.where(can1, common + reward1 + mu1 * dn1 + (lam - base_out - mu1) * V,
                       -np.inf)
         q2 = np.where(can2, common + reward2 + mu2 * dn2 + (lam - base_out - mu2) * V,
                       -np.inf)
         # idle is legal only when both queues are empty (work conservation)
         best = np.maximum(q1, q2)
-        best[0, 0] = q_idle[0, 0]
+        best[0, 0] = common[0, 0] + (lam - base_out[0, 0]) * V[0, 0]
         V_new = best / lam
         diff = V_new - V
         span = diff.max() - diff.min()
@@ -176,13 +174,11 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL,
         if span < tol:
             gain = float(lam * 0.5 * (diff.max() + diff.min()))
             gain_err = float(lam * span / 2)
+            # an empty queue's q is -inf, so only (0, 0) needs fixing up
             policy = np.where(q1 >= q2, SERVE_1, SERVE_2).astype(np.int8)
-            policy[(np.broadcast_to(l1 == 0, policy.shape))
-                   & np.broadcast_to(l2 == 0, policy.shape)] = IDLE
-            policy[0, 1:] = SERVE_2
-            policy[1:, 0] = SERVE_1
+            policy[0, 0] = IDLE
             return SdpSolution(gain, V, policy, it, L, model.tail_bound, gain_err)
-    raise NumericalError(f"value iteration did not converge in {max_iters} iterations")
+    raise NumericalError(f"value iteration did not converge in {MAX_ITERS} iterations")
 
 
 def gap_percent(gain: float, revenue_rate: float) -> float:
@@ -205,16 +201,12 @@ class SdpQueuePolicy(QueuePolicy):
         self._cap = self.solution.policy.shape[0] - 1
 
     def service_rates(self, lengths):
-        l1 = min(lengths[0], self._cap)
-        l2 = min(lengths[1], self._cap)
-        action = self.solution.policy[l1, l2]
+        # clamping keeps a nonempty queue's index >= 1, and a solved table
+        # idles only at (0, 0) and serves only nonempty queues
+        action = self.solution.policy[min(lengths[0], self._cap),
+                                      min(lengths[1], self._cap)]
         rates = [0.0, 0.0]
-        if action == SERVE_1 and lengths[0] > 0:
-            rates[0] = self._full[0]
-        elif action == SERVE_2 and lengths[1] > 0:
-            rates[1] = self._full[1]
-        elif action == IDLE and (lengths[0] > 0 or lengths[1] > 0):
-            # beyond-cap fallback: serve the longer nonempty queue
-            j = 0 if lengths[0] >= lengths[1] else 1
+        if action != IDLE:
+            j = action - SERVE_1
             rates[j] = self._full[j]
         return rates

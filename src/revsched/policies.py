@@ -82,7 +82,7 @@ def remaining_estimate(job: Job, knowledge: str, mean_exec) -> float:
     return max(mean_exec[job.stream] - served, 0.0)
 
 
-class RedfPolicy(TracePolicy):
+class RedfPolicy(EdfPolicy):
     """EDF plus overload rejection of least-value jobs to a reject queue.
 
     On every arrival the pending set is checked for EDF feasibility (the
@@ -113,19 +113,11 @@ class RedfPolicy(TracePolicy):
         self._enforce_feasible(now)
 
     def on_expiry(self, job, now):
-        if job in self.pending:
-            self.pending.remove(job)
-        elif job in self.rejected:
-            self.rejected.remove(job)
+        (self.pending if job in self.pending else self.rejected).remove(job)
 
     def on_completion(self, job, now):
         super().on_completion(job, now)
         self._resurrect(now)
-
-    def choose(self, now):
-        if not self.pending:
-            return None
-        return min(self.pending, key=_edf_key)
 
     def _feasible(self, now) -> bool:
         demand = 0.0
@@ -254,7 +246,6 @@ class _PerStreamPolicy(TracePolicy):
     """Trace policy keeping one FIFO-ordered list per stream."""
 
     def bind(self, specs):
-        self.specs = specs
         self.queues: list[list[Job]] = [[] for _ in specs]
 
     def on_arrival(self, job, now):

@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from . import allocation, dp, policies, queueing, sim, zindex
+from . import allocation, dp, policies, sim, zindex
 from .errors import ConfigError
 from .streams import StreamSpec, WorkloadSpec, sample_trace
 
@@ -160,7 +160,6 @@ class Table1Outcome:
     fap: sim.ReplicationSummary
     policyz: sim.ReplicationSummary
     sdp_gain: float | None = None
-    sdp_iterations: int | None = None
 
     @property
     def improvement(self) -> float:
@@ -175,9 +174,8 @@ class Table1Outcome:
 
 
 def run_table1_experiment(experiment_id: int, seed: int = 0, reps: int = 20,
-                          horizon: float = TABLE1_HORIZON, include_sdp: bool = False,
-                          sdp_cap: int | None = None) -> Table1Outcome:
-    workload = table1_workload(experiment_id, seed, horizon)
+                          include_sdp: bool = False) -> Table1Outcome:
+    workload = table1_workload(experiment_id, seed)
     specs = workload.streams
     fap_result = allocation.optimize(list(specs))
     f_star = fap_result.f_star
@@ -187,9 +185,7 @@ def run_table1_experiment(experiment_id: int, seed: int = 0, reps: int = 20,
     outcome = Table1Outcome(experiment_id, f_star, fap_result.v_star,
                             fap_summary, z_summary)
     if include_sdp:
-        solution = dp.solve(dp.SdpModel(specs[0], specs[1], sdp_cap))
-        outcome.sdp_gain = solution.gain
-        outcome.sdp_iterations = solution.iterations
+        outcome.sdp_gain = dp.solve(dp.SdpModel(specs[0], specs[1])).gain
     return outcome
 
 
@@ -218,16 +214,14 @@ class PairedTraceOutcome:
 
 def run_robust_experiment(slack: float, intensity: float, seed: int = 0,
                           reps: int = ROBUST_REPS, horizon: float = ROBUST_HORIZON,
-                          deadline_rule: str = "exponential",
-                          knowledge_modes: tuple[str, ...] = ("exact", "mean"),
-                          ) -> PairedTraceOutcome:
+                          deadline_rule: str = "exponential") -> PairedTraceOutcome:
     workload = robust_workload(slack, intensity, seed, horizon)
     specs = list(workload.streams)
     f_star = allocation.optimize(specs).f_star
     table = zindex.build_table(workload.streams, f_star)
     summaries = {"policyz": run_trace_policy(
         workload, policies.ZTracePolicy(table), reps, deadline_rule, slack)}
-    for mode in knowledge_modes:
+    for mode in ("exact", "mean"):
         summaries[f"robust_{mode}"] = run_trace_policy(
             workload, policies.RobustPolicy(slack, mode), reps, deadline_rule, slack)
     return PairedTraceOutcome(f"robust_s{slack:g}_i{intensity:g}", summaries)
@@ -271,8 +265,7 @@ def write_report(rows: list[dict], fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        writer.writerow([_cell(row.get(col, "")) if row.get(col, "") != ""
-                         else "" for col in CSV_HEADER])
+        writer.writerow([_cell(row.get(col, "")) for col in CSV_HEADER])
 
 
 def report_text(rows: list[dict]) -> str:
@@ -280,16 +273,3 @@ def report_text(rows: list[dict]) -> str:
     write_report(rows, buf)
     return buf.getvalue()
 
-
-def parse_report(text: str) -> list[dict]:
-    """Inverse of write_report for the numeric columns (round-trip exact)."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        row = dict(raw)
-        for col in ("mean_revenue_rate", "stddev", "ci95_lo", "ci95_hi",
-                    "epu", "value"):
-            if row[col] not in ("", "None"):
-                row[col] = float(row[col])
-        rows.append(row)
-    return rows

@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericalError
 from .streams import StreamSpec
 
 #: Relative tail tolerance at which the normalizing series is truncated.
-DEFAULT_TOL = 1e-14
+SERIES_TOL = 1e-14
 #: Hard cap on series terms; exceeding it signals a numerical fault.
 MAX_TERMS = 10**6
 
@@ -43,27 +43,25 @@ class QueueParams:
             raise ConfigError(f"deadline_rate must be > 0, got {self.deadline_rate}")
 
 
-def pi0(p: QueueParams, tol: float = DEFAULT_TOL) -> float:
+def pi0(p: QueueParams) -> float:
     """Probability that the queue is empty.
 
     Inverse of sum_{l>=0} r^l / prod_{m=1..l}(a + m d); the l=0 term is 1.
     Truncated once terms are decreasing and the current term is below
-    ``tol`` times the partial sum.
+    ``SERIES_TOL`` times the partial sum.
     """
-    if not (0 < tol < 1):
-        raise ConfigError(f"tol must be in (0, 1), got {tol}")
-    return _pi0_cached(p.arrival_rate, p.aggregate_service, p.deadline_rate, tol)
+    return _pi0_cached(p.arrival_rate, p.aggregate_service, p.deadline_rate)
 
 
 @lru_cache(maxsize=200_000)
-def _pi0_cached(r: float, a: float, d: float, tol: float) -> float:
+def _pi0_cached(r: float, a: float, d: float) -> float:
     total = 1.0
     term = 1.0
     for l in range(1, MAX_TERMS + 1):
         ratio = r / (a + l * d)
         term *= ratio
         total += term
-        if ratio < 1.0 and term < tol * total:
+        if ratio < 1.0 and term < SERIES_TOL * total:
             return 1.0 / total
         if math.isinf(total):
             # the weight sum exceeds float range, so the empty
@@ -73,30 +71,30 @@ def _pi0_cached(r: float, a: float, d: float, tol: float) -> float:
         f"pi0 series did not converge within {MAX_TERMS} terms (r={r}, a={a}, d={d})")
 
 
-def stationary(p: QueueParams, l: int, tol: float = DEFAULT_TOL) -> float:
+def stationary(p: QueueParams, l: int) -> float:
     """Stationary probability of queue length ``l``."""
     if l < 0:
         raise ConfigError(f"queue length must be >= 0, got {l}")
     weight = 1.0
     for m in range(1, l + 1):
         weight *= p.arrival_rate / (p.aggregate_service + m * p.deadline_rate)
-    return weight * pi0(p, tol)
+    return weight * pi0(p)
 
 
-def stream_revenue(s: StreamSpec, f: float, tol: float = DEFAULT_TOL) -> float:
+def stream_revenue(s: StreamSpec, f: float) -> float:
     """Long-run revenue rate of stream ``s`` under processor fraction ``f``."""
     if not (0.0 <= f <= 1.0):
         raise ConfigError(f"fraction must be in [0, 1], got {f}")
     if f == 0.0:
         return 0.0
     p = QueueParams(s.arrival_rate, s.service_rate * f, s.deadline_rate)
-    return s.reward * s.service_rate * f * (1.0 - pi0(p, tol))
+    return s.reward * s.service_rate * f * (1.0 - pi0(p))
 
 
-def total_revenue(specs, fractions, tol: float = DEFAULT_TOL) -> float:
+def total_revenue(specs, fractions) -> float:
     """Revenue rate of a full fractional allocation (sum over streams)."""
     fs = getattr(fractions, "fractions", fractions)
     if len(fs) != len(specs):
         raise ConfigError(
             f"allocation has {len(fs)} entries for {len(specs)} streams")
-    return sum(stream_revenue(s, f, tol) for s, f in zip(specs, fs))
+    return sum(stream_revenue(s, f) for s, f in zip(specs, fs))

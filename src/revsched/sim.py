@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .streams import Job, StreamSpec
+from .streams import Job
 
 #: Simultaneous events are processed expiry < completion < arrival.
 _COMPLETION_EPS = 1e-9
@@ -70,7 +70,11 @@ class SimMetrics:
 
 
 class QueuePolicy:
-    """Interface of CTMC-engine policies: per-queue service rates."""
+    """Interface of CTMC-engine policies: per-queue service rates.
+
+    ``service_rates`` must be a pure function of the queue lengths: equal
+    lengths give equal rates, and the argument is left unchanged.
+    """
 
     def bind(self, specs):  # pragma: no cover - trivial default
         pass
@@ -94,6 +98,7 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     dl_rates = [s.deadline_rate for s in specs]
     mean_execs = [s.mean_exec for s in specs]
     rewards = [s.reward for s in specs]
+    arr_total = sum(arr_rates)
     policy.bind(specs)
     rng = random.Random(seed)
     lengths = [0] * n
@@ -106,7 +111,7 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     while True:
         srates = policy.service_rates(lengths)
         exp_rates = [lengths[i] * dl_rates[i] for i in range(n)]
-        total = sum(arr_rates) + sum(exp_rates) + sum(srates)
+        total = arr_total + sum(exp_rates) + sum(srates)
         busy_frac = min(1.0, sum(srates[i] * mean_execs[i] for i in range(n)))
         dt = rng.expovariate(total) if total > 0 else math.inf
         if t + dt >= horizon:
@@ -114,33 +119,20 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
             break
         t += dt
         busy_time += busy_frac * dt
+        # one walk over arrivals, expiries, then completions
         u = rng.random() * total
         acc = 0.0
-        event = None
-        for i in range(n):
-            acc += arr_rates[i]
+        for k, rate in enumerate(arr_rates + exp_rates + srates):
+            acc += rate
             if u < acc:
-                event = ("arrival", i)
                 break
-        if event is None:
-            for i in range(n):
-                acc += exp_rates[i]
-                if u < acc:
-                    event = ("expiry", i)
-                    break
-        if event is None:
-            for i in range(n):
-                acc += srates[i]
-                if u < acc:
-                    event = ("completion", i)
-                    break
-        if event is None:  # float round-off at the top of the walk
-            event = ("completion", n - 1) if srates[n - 1] > 0 else ("arrival", n - 1)
-        kind, i = event
-        if kind == "arrival":
+        else:  # float round-off at the top of the walk
+            k = 3 * n - 1 if srates[n - 1] > 0 else n - 1
+        kind, i = divmod(k, n)
+        if kind == 0:
             arrivals[i] += 1
             lengths[i] += 1
-        elif kind == "expiry":
+        elif kind == 1:
             expirations[i] += 1
             lengths[i] -= 1
         else:
@@ -162,19 +154,16 @@ class TracePolicy:
     """
 
     def bind(self, specs) -> None:
-        self.specs = specs
         self.pending: list[Job] = []
 
     def on_arrival(self, job: Job, now: float) -> None:
         self.pending.append(job)
 
     def on_expiry(self, job: Job, now: float) -> None:
-        if job in self.pending:
-            self.pending.remove(job)
+        self.pending.remove(job)
 
     def on_completion(self, job: Job, now: float) -> None:
-        if job in self.pending:
-            self.pending.remove(job)
+        self.pending.remove(job)
 
     def has_runnable(self) -> bool:
         return bool(self.pending)

@@ -104,11 +104,6 @@ class Job:
     #: Set by the trace engine while the job is queued or running.
     _live: bool = field(default=False, init=False, repr=False)
 
-    def fresh_copy(self) -> "Job":
-        """Copy with full execution requirement restored (for reruns)."""
-        return Job(self.stream, self.arrival, self.exec_total,
-                   self.exec_total, self.deadline_abs, self.reward)
-
 
 def utilization(spec: WorkloadSpec) -> float:
     """Aggregate offered load sum(mean_exec * arrival_rate)."""
@@ -181,10 +176,10 @@ def workload_from_dict(data: dict) -> WorkloadSpec:
         has_period = "P" in raw
         if has_rate == has_period:
             raise ConfigError(f"stream {i}: give exactly one of 'rate' or 'P'")
+        make = StreamSpec if has_rate else StreamSpec.from_period
         try:
-            rate = raw["rate"] if has_rate else 1.0 / raw["P"]
-            streams.append(StreamSpec(i, rate, raw["mean_exec"],
-                                      raw["mean_deadline"], raw["value"]))
+            streams.append(make(i, raw["rate" if has_rate else "P"], raw["mean_exec"],
+                                raw["mean_deadline"], raw["value"]))
         except KeyError as exc:
             raise ConfigError(f"stream {i} missing key: {exc}") from exc
     return WorkloadSpec(tuple(streams), horizon, seed)

@@ -38,20 +38,20 @@ def priority(s: StreamSpec, f_i: float, l: int) -> float:
         1.0 - (sf * pi0_base) / ((sf + l * d) * pi0_shifted))
 
 
-def marginal_value_drop(s: StreamSpec, f_i: float, l: int) -> float:
-    """Expected revenue lost per service by pulling one job out of queue ``l``."""
+def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
+    """Same index assembled from the marginal value drop; cross-check path.
+
+    The drop is the expected revenue lost per service by pulling one job
+    out of queue ``l``.
+    """
+    if l < 1:
+        raise ConfigError(f"queue length must be >= 1, got {l}")
     sf = s.service_rate * f_i
     d = s.deadline_rate
     pi0_base = pi0(QueueParams(s.arrival_rate, sf, d))
     pi0_shifted = pi0(QueueParams(s.arrival_rate, sf + l * d, d))
-    return (s.reward * sf * pi0_base) / ((sf + l * d) * pi0_shifted)
-
-
-def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
-    """Same index assembled from the marginal value drop; cross-check path."""
-    if l < 1:
-        raise ConfigError(f"queue length must be >= 1, got {l}")
-    return s.service_rate * (s.reward - marginal_value_drop(s, f_i, l))
+    drop = (s.reward * sf * pi0_base) / ((sf + l * d) * pi0_shifted)
+    return s.service_rate * (s.reward - drop)
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,6 @@ class PriorityTable:
     def l_max(self) -> int:
         return len(self.z[0])
 
-    def lookup(self, stream: int, l: int) -> float:
-        if l < 1:
-            raise ConfigError(f"queue length must be >= 1, got {l}")
-        row = self.z[stream]
-        return row[l - 1] if l <= len(row) else self.limit_value[stream]
-
     def select(self, queue_lengths) -> int | None:
         """Id of the nonempty queue with the highest index; None if all empty.
 
@@ -90,7 +84,7 @@ class PriorityTable:
         for i, l in enumerate(queue_lengths):
             if l <= 0:
                 continue
-            row = z[i]  # inlined lookup(i, l)
+            row = z[i]
             zi = row[l - 1] if l <= len(row) else limits[i]
             if zi > best_z:
                 best = i

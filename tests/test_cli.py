@@ -7,6 +7,8 @@ import pytest
 from revsched import presets
 from revsched.cli import main
 
+from helpers import parse_report
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data))
@@ -91,7 +93,7 @@ def test_simulate_subcommand(tmp_path):
         "replications": 3})
     out = tmp_path / "sim.csv"
     assert main(["simulate", cfg, "--out", str(out)]) == 0
-    rows = presets.parse_report(out.read_text())
+    rows = parse_report(out.read_text())
     assert rows[0]["policy"] == "fap"
     assert rows[0]["mean_revenue_rate"] > 0
 
@@ -115,6 +117,18 @@ def test_malformed_workload_json(tmp_path, capsys):
     path = tmp_path / "wl.json"
     path.write_text('{"streams": [')
     _assert_config_error(main(["fap", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("period", [0, -5])
+def test_nonpositive_period_rejected(period, tmp_path, capsys):
+    wl = write_json(tmp_path / "wl.json", {
+        "streams": [{"P": period, "mean_exec": 600, "mean_deadline": 1000,
+                     "value": 1.0}],
+        "horizon": 1000, "seed": 0})
+    rc = main(["fap", wl])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith("error:") and "period must be > 0" in err
 
 
 def test_malformed_run_config_json(tmp_path, capsys):
@@ -164,7 +178,7 @@ def test_experiment_table1_rows(tmp_path):
     out = tmp_path / "t1.csv"
     assert main(["experiment", "table1", "--ids", "1", "--reps", "2",
                  "--out", str(out)]) == 0
-    rows = presets.parse_report(out.read_text())
+    rows = parse_report(out.read_text())
     policies_seen = {r["policy"] for r in rows if r["policy"]}
     assert policies_seen == {"fap", "policyz"}
     labels = {r["comparison"] for r in rows if r["comparison"]}
@@ -176,7 +190,7 @@ def test_report_roundtrip_exact():
                                 _FakeSummary(0.1234567890123456789, 0.01)),
             presets.comparison_row("x", "gap_pct", 12.000000000000064)]
     text = presets.report_text(rows)
-    parsed = presets.parse_report(text)
+    parsed = parse_report(text)
     assert parsed[0]["mean_revenue_rate"] == rows[0]["mean_revenue_rate"]
     assert parsed[0]["stddev"] == rows[0]["stddev"]
     assert parsed[1]["value"] == rows[1]["value"]

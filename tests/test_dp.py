@@ -99,6 +99,36 @@ def test_policy_is_work_conserving(e1_solution):
     assert (policy[1:, 0] == SERVE_1).all()
 
 
+@pytest.fixture(scope="module", params=[(eid, cap) for eid in (1, 7, 13) for cap in (None, 40)],
+                ids=lambda p: f"E{p[0]}-cap{p[1] or 'sized'}")
+def table1_solution(request):
+    eid, cap = request.param
+    specs = presets.table1_workload(eid).streams
+    return specs, solve(SdpModel(*specs, cap=cap))
+
+
+def test_solved_table_idles_only_when_both_queues_are_empty(table1_solution):
+    policy = table1_solution[1].policy
+    assert policy[0, 0] == IDLE
+    assert (policy[1:, :] != IDLE).all() and (policy[:, 1:] != IDLE).all()
+    # never serves an empty queue
+    assert (policy[0, 1:] == SERVE_2).all()
+    assert (policy[1:, 0] == SERVE_1).all()
+
+
+def test_queue_policy_adapter_replays_the_clamped_table(table1_solution):
+    specs, sol = table1_solution
+    adapter = SdpQueuePolicy(sol)
+    adapter.bind(list(specs))
+    cap = sol.cap
+    for l1 in (*range(cap + 3), 10 * cap):
+        for l2 in (*range(cap + 3), 10 * cap):
+            action = sol.policy[min(l1, cap), min(l2, cap)]
+            expected = [specs[0].service_rate if action == SERVE_1 else 0.0,
+                        specs[1].service_rate if action == SERVE_2 else 0.0]
+            assert adapter.service_rates([l1, l2]) == expected
+
+
 def test_gain_positive_and_bounded(e1_solution):
     # gain cannot exceed the perfect-revenue rate of serving the better
     # stream nonstop

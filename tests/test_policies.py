@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsched import presets
 from revsched.allocation import AllocationVector
+from revsched.dp import SdpModel, SdpQueuePolicy, solve
 from revsched.errors import ConfigError
 from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy,
                                RedfPolicy, RobustPolicy, ZQueuePolicy,
@@ -13,6 +15,8 @@ from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy,
 from revsched.sim import run_trace
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
 from revsched.zindex import build_table
+
+from helpers import fresh_copy
 
 
 def job(stream, arrival, exec_time, deadline_abs, reward=1.0):
@@ -277,9 +281,9 @@ def test_fap_round_robin_single_stream_is_continuous():
     sp = [StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0)]
     wl = WorkloadSpec(tuple(sp), 1e5, 5)
     trace = sample_trace(wl)
-    rr = run_trace(sp, [j.fresh_copy() for j in trace],
+    rr = run_trace(sp, [fresh_copy(j) for j in trace],
                    FapRoundRobinPolicy(AllocationVector((1.0,)), 6.0), wl.horizon)
-    edf = run_trace(sp, [j.fresh_copy() for j in trace], EdfPolicy(), wl.horizon)
+    edf = run_trace(sp, [fresh_copy(j) for j in trace], EdfPolicy(), wl.horizon)
     assert rr.revenue == edf.revenue
     assert rr.busy_time == pytest.approx(edf.busy_time)
 
@@ -353,3 +357,27 @@ def test_resolve_allocation_auto_and_explicit():
     assert explicit.fractions == (0.25, 0.75)
     auto = resolve_allocation(sp, "auto")
     assert sum(auto.fractions) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def queue_policies():
+    specs = presets.table1_workload(7).streams
+    f = resolve_allocation(specs, "auto")
+    return specs, [FapQueuePolicy(f), ZQueuePolicy(build_table(specs, f, 16)),
+                   SdpQueuePolicy(solve(SdpModel(*specs)))]
+
+
+@given(a=st.lists(st.integers(0, 40), min_size=2, max_size=2),
+       b=st.lists(st.integers(0, 40), min_size=2, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_queue_policy_rates_are_a_pure_function_of_the_lengths(queue_policies, a, b):
+    # the QueuePolicy contract: equal lengths give equal rates, whatever was
+    # asked in between, and the lengths list is left as it was
+    specs, policies = queue_policies
+    for policy in policies:
+        policy.bind(specs)
+        a_in, b_in = list(a), list(b)
+        first = policy.service_rates(a_in)
+        policy.service_rates(b_in)
+        assert policy.service_rates(list(a)) == first
+        assert a_in == a and b_in == b

@@ -1,8 +1,11 @@
 """Campaign output pinned byte for byte.
 
-The digests were taken before the trace engine's hot path was rewritten
-(one-pass robust selection, inlined priority lookup, slotted jobs); any
-change to the trace engine or the trace policies must keep them.
+The trace-campaign digests were taken before the trace engine's hot path
+was rewritten (one-pass robust selection, inlined priority lookup, slotted
+jobs); any change to the trace engine or the trace policies must keep them.
+The table1 digest covers the analytic kernel, the allocation search, the
+priority table, the CTMC engine and the DP oracle; it was taken before the
+options and branches that no caller used were removed from them.
 """
 
 import hashlib
@@ -28,6 +31,15 @@ def test_robust_campaign_csv_is_pinned(rule, digest):
                 slack, intensity, seed=0, reps=2, horizon=2e4, deadline_rule=rule)
             rows.extend(presets.paired_rows(outcome, ("robust_exact", "robust_mean")))
     assert _digest(rows) == digest
+
+
+def test_table1_campaign_with_oracle_csv_is_pinned():
+    rows = []
+    for eid in (1, 7, 13):
+        outcome = presets.run_table1_experiment(eid, seed=0, reps=2, include_sdp=True)
+        rows.extend(presets.table1_rows(outcome))
+    assert _digest(rows) == (
+        "8da81467bec4c0fffdee2d4e3d2362e2564cd784e90b46c34ec9caffcf32ba5f")
 
 
 def test_redf_campaign_csv_is_pinned():

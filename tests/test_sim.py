@@ -1,13 +1,18 @@
 """Engine behavior on hand-built traces and cross-engine consistency."""
 
+import random
+
 import pytest
 
+from revsched import sim
 from revsched.allocation import AllocationVector
 from revsched.errors import ConfigError, InvariantError
 from revsched.policies import EdfPolicy, FapQueuePolicy, RedfPolicy
 from revsched.sim import (SimMetrics, TracePolicy, derive_seed, replicate, run_ctmc,
                           run_trace, summarize)
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
+
+from helpers import fresh_copy
 
 SPEC1 = [StreamSpec(0, 0.001, 100.0, 500.0, 2.0)]
 
@@ -79,8 +84,8 @@ def test_redf_equals_edf_when_never_overloaded():
     # when the feasibility scan never fires the reject queue stays empty
     # and clairvoyant-overload-detection REDF degenerates to plain EDF
     trace = [job(0, t, 10.0, t + 100.0) for t in range(0, 1000, 50)]
-    m_edf = run_trace(SPEC1, [j.fresh_copy() for j in trace], EdfPolicy(), 2000.0)
-    m_redf = run_trace(SPEC1, [j.fresh_copy() for j in trace],
+    m_edf = run_trace(SPEC1, [fresh_copy(j) for j in trace], EdfPolicy(), 2000.0)
+    m_redf = run_trace(SPEC1, [fresh_copy(j) for j in trace],
                        RedfPolicy(knowledge="exact"), 2000.0)
     assert m_edf.revenue == m_redf.revenue == [20.0]
     assert m_edf.completions == m_redf.completions
@@ -105,6 +110,37 @@ def test_ctmc_conservation_and_busy_bound():
     assert m.arrivals[0] == m.completions[0] + m.expirations[0] + m.still_pending[0]
     assert 0 <= m.busy_time <= 1e5
     assert m.useful_time is None and m.epu is None
+
+
+class _TopOfWalk(random.Random):
+    """Clock every event at dt = 1 and draw u = total, past every partial sum."""
+
+    def expovariate(self, lambd):
+        return 1.0
+
+    def random(self):
+        return 1.0
+
+
+def test_ctmc_round_off_falls_back_to_the_last_stream(monkeypatch):
+    # rates that are exact in binary, so the walk's last partial sum equals
+    # the total and the round-off fallback picks the event: an arrival to the
+    # last stream while it has no service rate, else a completion there
+    monkeypatch.setattr(sim.random, "Random", _TopOfWalk)
+    specs = [StreamSpec(i, 0.5, 4.0, 8.0, 3.0) for i in range(2)]
+    m = run_ctmc(specs, FapQueuePolicy(AllocationVector((0.5, 0.5))), 4.5, seed=0)
+    assert m.arrivals == m.completions == [0, 2]
+    assert m.revenue == [0.0, 6.0] and m.expirations == [0, 0]
+
+
+def test_trace_policy_callbacks_need_a_pending_job():
+    policy = EdfPolicy()
+    policy.bind(SPEC1)
+    stranger = job(0, 0.0, 1.0, 10.0)
+    with pytest.raises(ValueError):
+        policy.on_expiry(stranger, 1.0)
+    with pytest.raises(ValueError):
+        policy.on_completion(stranger, 1.0)
 
 
 class _FifoPolicy(EdfPolicy):

@@ -10,6 +10,8 @@ from revsched.streams import (Job, StreamSpec, WorkloadSpec, is_overloaded,
                               load_workload, sample_trace, utilization,
                               workload_from_dict)
 
+from helpers import fresh_copy
+
 
 def two_stream_workload(horizon=100_000.0, seed=7):
     streams = (StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0),
@@ -94,7 +96,7 @@ def test_gap_and_exec_means():
 
 def test_fresh_copy_restores_execution():
     job = Job(0, 1.0, 10.0, 3.0, 20.0, 2.0)
-    copy = job.fresh_copy()
+    copy = fresh_copy(job)
     assert copy.exec_remaining == copy.exec_total == 10.0
     assert (copy.stream, copy.arrival, copy.deadline_abs, copy.reward) == \
            (0, 1.0, 20.0, 2.0)
@@ -117,7 +119,7 @@ def test_jobs_are_slotted():
     with pytest.raises(AttributeError):
         a.extra = 1
     a._live = True  # the declared engine flag is a slot
-    assert a._live and a == a and a != a.fresh_copy()
+    assert a._live and a == a and a != fresh_copy(a)
 
 
 def test_workload_from_dict_rate_xor_period():

@@ -10,6 +10,8 @@ from revsched.streams import StreamSpec
 from revsched.zindex import (PriorityTable, build_table, priority,
                              priority_via_value_difference)
 
+from helpers import lookup
+
 # Frozen oracles (mpmath, 60 digits): stream r=1/350, mean_exec=600,
 # mean_deadline=1000, reward=1, share f=0.5.
 Z_ORACLES = {1: 0.0012547748902961010433, 5: 0.0016070767778603488761}
@@ -78,15 +80,15 @@ def test_table_lookup_matches_direct_eval():
     specs, table = make_table()
     for i, s in enumerate(specs):
         for l in (1, 2, 10, 64):
-            assert table.lookup(i, l) == pytest.approx(
+            assert lookup(table, i, l) == pytest.approx(
                 priority(s, table.allocation[i], l), rel=1e-12)
 
 
 def test_table_lookup_beyond_lmax_returns_limit():
     specs, table = make_table(l_max=16)
     for i, s in enumerate(specs):
-        assert table.lookup(i, 17) == s.reward * s.service_rate
-        assert table.lookup(i, 10**9) == s.reward * s.service_rate
+        assert lookup(table, i, 17) == s.reward * s.service_rate
+        assert lookup(table, i, 10**9) == s.reward * s.service_rate
 
 
 def test_select_prefers_higher_index_and_skips_empty():
@@ -95,7 +97,7 @@ def test_select_prefers_higher_index_and_skips_empty():
     assert table.select([5, 0]) == 0
     assert table.select([0, 5]) == 1
     chosen = table.select([3, 3])
-    by_hand = max((0, 1), key=lambda i: table.lookup(i, 3))
+    by_hand = max((0, 1), key=lambda i: lookup(table, i, 3))
     assert chosen == by_hand
 
 
@@ -110,8 +112,8 @@ def _select_by_lookup(table, lengths):
     """Reference for the inlined `select`: one `lookup` per nonempty stream."""
     best, best_z = None, -1.0
     for i, l in enumerate(lengths):
-        if l > 0 and table.lookup(i, l) > best_z:
-            best, best_z = i, table.lookup(i, l)
+        if l > 0 and lookup(table, i, l) > best_z:
+            best, best_z = i, lookup(table, i, l)
     return best
 
 
@@ -135,7 +137,7 @@ def test_bad_arguments_rejected():
     with pytest.raises(ConfigError):
         priority(S, 1.5, 1)
     with pytest.raises(ConfigError):
-        table.lookup(0, 0)
+        lookup(table, 0, 0)
     with pytest.raises(ConfigError):
         table.select([1, 2, 3])
     with pytest.raises(ConfigError):
