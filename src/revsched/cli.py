@@ -98,6 +98,8 @@ def cmd_simulate(args) -> int:
     params = {k: v for k, v in policy_cfg.items() if k != "name"}
     engine = config.get("engine", "ctmc" if name in ("fap", "policyz") else "trace")
     reps = config.get("replications", 20)
+    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 2:
+        raise ConfigError(f"replications must be an integer >= 2, got {reps!r}")
     if name == "policyz" and not is_overloaded(workload):
         print(f"warning: utilization {utilization(workload):.3f} <= 1; "
               "EDF is the prescribed policy for underloaded systems",

@@ -9,12 +9,9 @@ fractional sharing, and the priority-index rule over sampled jobs.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 from . import allocation, zindex
 from .allocation import AllocationVector
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .sim import QueuePolicy, TracePolicy
 from .streams import Job
 
@@ -166,7 +163,7 @@ class RobustPolicy(TracePolicy):
     """
 
     def __init__(self, slack: float, knowledge: str = "exact"):
-        _require_finite("slack factor", slack)
+        require_finite("slack factor", slack)
         if not (slack > 1):
             raise ConfigError(f"slack factor must be > 1, got {slack}")
         _check_knowledge(knowledge)
@@ -290,7 +287,7 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
     """
 
     def __init__(self, f: AllocationVector, quantum: float):
-        _require_finite("quantum", quantum)
+        require_finite("quantum", quantum)
         if not (quantum > 0):
             raise ConfigError(f"quantum must be > 0, got {quantum}")
         self.f = f
@@ -395,10 +392,3 @@ def _require_trace(name, engine):
 def _check_knowledge(knowledge) -> None:
     if knowledge not in ("exact", "mean"):
         raise ConfigError(f"knowledge must be 'exact' or 'mean', got {knowledge!r}")
-
-
-def _require_finite(name: str, value) -> None:
-    """ConfigError unless ``value`` is a finite real number (a bool is not)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -2,9 +2,13 @@
 
 The CTMC engine simulates only the joint queue-length chain by competing
 exponential clocks; it supports queue-length policies (fixed-share and
-index-based) and is the fast path for the analytic comparisons. The trace
-engine replays a sampled job list job-by-job and supports every policy,
-including ones that inspect individual deadlines and execution times.
+index-based) and is the fast path for the analytic comparisons. A run
+visits few distinct queue-length vectors, so it builds each visited state's
+total rate, busy fraction and cumulative event walk once and looks them up
+on every later visit; this relies on ``QueuePolicy.service_rates`` being a
+pure function of the queue lengths. The trace engine replays a sampled job
+list job-by-job and supports every policy, including ones that inspect
+individual deadlines and execution times.
 
 Both engines expose the same metrics record and both let the deadline
 clock of every queued job keep running while it is in service: a running
@@ -16,7 +20,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,8 +97,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetrics:
     """Simulate the joint queue-length chain under a queue-length policy."""
-    if horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {horizon}")
+    if not (0 <= horizon < math.inf):  # an infinite horizon never ends
+        raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
     n = len(specs)
     arr_rates = [s.arrival_rate for s in specs]
     dl_rates = [s.deadline_rate for s in specs]
@@ -101,6 +107,8 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     arr_total = sum(arr_rates)
     policy.bind(specs)
     rng = random.Random(seed)
+    expovariate, uniform = rng.expovariate, rng.random
+    events = [divmod(k, n) for k in range(3 * n)]
     lengths = [0] * n
     arrivals = [0] * n
     completions = [0] * n
@@ -108,27 +116,32 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     revenue = [0.0] * n
     busy_time = 0.0
     t = 0.0
+    # per visited state: total rate, busy fraction, the cumulative walk over
+    # arrivals, expiries, then completions, and the (kind, stream) of each
+    # walk index; index 3n is the fallback when float round-off leaves u at
+    # or above the walk's top
+    rows: dict[tuple[int, ...],
+               tuple[float, float, list[float], list[tuple[int, int]]]] = {}
     while True:
-        srates = policy.service_rates(lengths)
-        exp_rates = [lengths[i] * dl_rates[i] for i in range(n)]
-        total = arr_total + sum(exp_rates) + sum(srates)
-        busy_frac = min(1.0, sum(srates[i] * mean_execs[i] for i in range(n)))
-        dt = rng.expovariate(total) if total > 0 else math.inf
+        state = tuple(lengths)
+        row = rows.get(state)
+        if row is None:
+            srates = policy.service_rates(lengths)
+            exp_rates = [lengths[i] * dl_rates[i] for i in range(n)]
+            row = rows[state] = (
+                arr_total + sum(exp_rates) + sum(srates),
+                min(1.0, sum(srates[i] * mean_execs[i] for i in range(n))),
+                list(accumulate(arr_rates + exp_rates + srates)),
+                events + [events[3 * n - 1 if srates[n - 1] > 0 else n - 1]])
+        total, busy_frac, walk, row_events = row
+        dt = expovariate(total) if total > 0 else math.inf
         if t + dt >= horizon:
             busy_time += busy_frac * (horizon - t)
             break
         t += dt
         busy_time += busy_frac * dt
-        # one walk over arrivals, expiries, then completions
-        u = rng.random() * total
-        acc = 0.0
-        for k, rate in enumerate(arr_rates + exp_rates + srates):
-            acc += rate
-            if u < acc:
-                break
-        else:  # float round-off at the top of the walk
-            k = 3 * n - 1 if srates[n - 1] > 0 else n - 1
-        kind, i = divmod(k, n)
+        # the first event whose partial sum exceeds u
+        kind, i = row_events[bisect_right(walk, uniform() * total)]
         if kind == 0:
             arrivals[i] += 1
             lengths[i] += 1

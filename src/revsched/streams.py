@@ -16,12 +16,13 @@ variates are drawn by inverse CDF, ``-mean * log1p(-u)``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 # Substream kinds for the per-stream RNGs.
 _KIND_GAP = 0
@@ -40,16 +41,20 @@ class StreamSpec:
     reward: float
 
     def __post_init__(self):
+        if isinstance(self.id, bool) or not isinstance(self.id, numbers.Integral):
+            raise ConfigError(f"stream id must be an integer, got {self.id!r}")
         if self.id < 0:
             raise ConfigError(f"stream id must be >= 0, got {self.id}")
         for name in ("arrival_rate", "mean_exec", "mean_deadline", "reward"):
             val = getattr(self, name)
+            require_finite(f"stream {self.id}: {name}", val)
             if not (val > 0):
                 raise ConfigError(f"stream {self.id}: {name} must be > 0, got {val}")
 
     @classmethod
     def from_period(cls, id, period, mean_exec, mean_deadline, reward):
         """Alternative constructor taking the mean inter-arrival time."""
+        require_finite(f"stream {id}: period", period)
         if not (period > 0):
             raise ConfigError(f"stream {id}: period must be > 0, got {period}")
         return cls(id, 1.0 / period, mean_exec, mean_deadline, reward)
@@ -77,6 +82,7 @@ class WorkloadSpec:
         ids = [s.id for s in self.streams]
         if ids != list(range(len(ids))):
             raise ConfigError(f"stream ids must be 0..n-1 without gaps, got {ids}")
+        require_finite("horizon", self.horizon)
         if not (self.horizon > 0):
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
         if not (0 <= self.seed < 2**64):

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from revsched import presets
+from revsched import presets, sim
 from revsched.cli import main
 
-from helpers import parse_report
+from helpers import BoundedRandom, parse_report
 
 
 def write_json(path, data):
@@ -209,3 +209,33 @@ class _FakeSummary:
 def test_unknown_experiment_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "mystery"])
+
+
+_STREAM = '"mean_exec": 600, "mean_deadline": 1000'
+
+
+@pytest.mark.parametrize("stream,horizon", [
+    (f'{{"P": "350", {_STREAM}, "value": 1.0}}', "2000"),
+    (f'{{"rate": 1e999, {_STREAM}, "value": 1.0}}', "2000"),
+    (f'{{"P": 350, {_STREAM}, "value": true}}', "2000"),
+    (f'{{"P": 350, {_STREAM}, "value": 1.0}}', "1e999"),
+    (f'{{"P": 350, {_STREAM}, "value": 1.0}}', "NaN"),
+])
+def test_mistyped_or_infinite_workload_rejected(stream, horizon, tmp_path, capsys,
+                                                monkeypatch):
+    # an infinite rate or horizon used to keep the CTMC engine looping forever
+    monkeypatch.setattr(sim.random, "Random", BoundedRandom)
+    path = tmp_path / "run.json"
+    path.write_text(f'{{"workload": {{"streams": [{stream}], "horizon": {horizon},'
+                    f' "seed": 0}}, "policy": {{"name": "fap"}}, "replications": 2}}')
+    _assert_config_error(main(["simulate", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("reps", ["3", 2.0, True, 1, None])
+def test_replications_must_be_an_integer_of_at_least_two(reps, tmp_path, capsys):
+    config = write_json(tmp_path / "run.json", {
+        "workload": {"streams": [{"P": 350, "mean_exec": 600,
+                                  "mean_deadline": 1000, "value": 1.0}],
+                     "horizon": 2000, "seed": 0},
+        "policy": {"name": "fap"}, "replications": reps})
+    _assert_config_error(main(["simulate", config]), capsys)

@@ -3,9 +3,12 @@
 The trace-campaign digests were taken before the trace engine's hot path
 was rewritten (one-pass robust selection, inlined priority lookup, slotted
 jobs); any change to the trace engine or the trace policies must keep them.
-The table1 digest covers the analytic kernel, the allocation search, the
-priority table, the CTMC engine and the DP oracle; it was taken before the
-options and branches that no caller used were removed from them.
+The table1 digest with the oracle covers the analytic kernel, the
+allocation search, the priority table, the CTMC engine and the DP oracle; it
+was taken before the options and branches that no caller used were removed
+from them. The table1 digests without the oracle pin the CTMC engine on one
+row of every deadline class (E6, E9, E12, E15); they were taken before the
+engine started caching each visited state's rates.
 """
 
 import hashlib
@@ -51,3 +54,14 @@ def test_redf_campaign_csv_is_pinned():
             rows.extend(presets.paired_rows(outcome, ("redf",)))
     assert _digest(rows) == (
         "6b921791efcdc054feb9fe011a163a7ac79ef2e0754cfcd1e03108fa2b1d578b")
+
+
+@pytest.mark.parametrize("eid,digest", [
+    (6, "c6db7e59c9850e17021d267db8f88074982c6eccbb79130b88bdb8d24f5912cf"),
+    (9, "9ab19acbfef793bffe5236fe10e63ef637b7aea819dcf134be4b16ebd133bf5e"),
+    (12, "f39d74ca088629edd7d1668109cd20dc4554588a1438a08ae8b21f2de11f0eeb"),
+    (15, "0b3f42266ea5bbf7f81d9f5467c77a63e24fd3b6e7ab387f1a811f8584fc27cf"),
+])
+def test_table1_campaign_csv_is_pinned(eid, digest):
+    outcome = presets.run_table1_experiment(eid, seed=0, reps=2)
+    assert _digest(presets.table1_rows(outcome)) == digest

@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revsched import sim
 from revsched.allocation import AllocationVector
+from revsched.dp import SdpModel, SdpQueuePolicy, solve
 from revsched.errors import ConfigError, InvariantError
-from revsched.policies import EdfPolicy, FapQueuePolicy, RedfPolicy
+from revsched.policies import EdfPolicy, FapQueuePolicy, RedfPolicy, ZQueuePolicy
 from revsched.sim import (SimMetrics, TracePolicy, derive_seed, replicate, run_ctmc,
                           run_trace, summarize)
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
+from revsched.zindex import build_table
 
-from helpers import fresh_copy
+from helpers import BoundedRandom, fresh_copy, run_ctmc_reference
 
 SPEC1 = [StreamSpec(0, 0.001, 100.0, 500.0, 2.0)]
 
@@ -131,6 +135,68 @@ def test_ctmc_round_off_falls_back_to_the_last_stream(monkeypatch):
     m = run_ctmc(specs, FapQueuePolicy(AllocationVector((0.5, 0.5))), 4.5, seed=0)
     assert m.arrivals == m.completions == [0, 2]
     assert m.revenue == [0.0, 6.0] and m.expirations == [0, 0]
+
+
+_ctmc_stream = st.tuples(st.sampled_from([1 / 350, 1 / 200, 0.01]),
+                         st.sampled_from([100.0, 600.0, 900.0]),
+                         st.sampled_from([300.0, 1000.0]),
+                         st.sampled_from([1.0, 1.3, 2.0]))
+
+
+def _queue_policy(kind, specs, weights):
+    f = AllocationVector.normalized(weights[:len(specs)])
+    if kind == "fap":
+        return FapQueuePolicy(f)
+    if kind == "z":
+        return ZQueuePolicy(build_table(specs, f, 16))
+    return SdpQueuePolicy(solve(SdpModel(*specs, cap=12)))
+
+
+@given(streams=st.lists(_ctmc_stream, min_size=1, max_size=3),
+       kind=st.sampled_from(["fap", "z", "sdp"]),
+       weights=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       horizon=st.sampled_from([0.0, 5e3, 2e5]), seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_ctmc_rate_cache_matches_the_uncached_reference(streams, kind, weights,
+                                                        horizon, seed):
+    # same random numbers, same floats: every metric must be equal, not close
+    assume(kind != "sdp" or len(streams) == 2)
+    assume(any(weights[:len(streams)]))
+    specs = [StreamSpec(i, *s) for i, s in enumerate(streams)]
+    policy = _queue_policy(kind, specs, weights)
+    assert run_ctmc(specs, policy, horizon, seed) == \
+        run_ctmc_reference(specs, policy, horizon, seed)
+
+
+class _Recording(ZQueuePolicy):
+    """Records the queue lengths of every ``service_rates`` call."""
+
+    def bind(self, specs):
+        super().bind(specs)
+        self.asked = []
+
+    def service_rates(self, lengths):
+        self.asked.append(tuple(lengths))
+        return super().service_rates(lengths)
+
+
+def test_ctmc_asks_the_policy_once_per_visited_state():
+    specs = [StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.3),
+             StreamSpec(1, 1 / 350, 900.0, 1000.0, 1.0)]
+    table = build_table(specs, AllocationVector((0.5, 0.5)), 16)
+    cached, uncached = _Recording(table), _Recording(table)
+    assert run_ctmc(specs, cached, 2e5, seed=3) == \
+        run_ctmc_reference(specs, uncached, 2e5, seed=3)
+    # the reference asks on every event, so it lists every visited state
+    assert len(uncached.asked) > 10 * len(set(uncached.asked))
+    assert sorted(cached.asked) == sorted(set(uncached.asked))
+
+
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0])
+def test_bad_ctmc_horizon_rejected(horizon, monkeypatch):
+    monkeypatch.setattr(sim.random, "Random", BoundedRandom)  # fail, not hang
+    with pytest.raises(ConfigError, match="horizon must be finite"):
+        run_ctmc(SPEC1, FapQueuePolicy(AllocationVector((1.0,))), horizon, seed=0)
 
 
 def test_trace_policy_callbacks_need_a_pending_job():

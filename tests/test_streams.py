@@ -1,6 +1,7 @@
 """Workload specs and reproducible trace sampling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -165,3 +166,32 @@ def test_invalid_specs_rejected():
         WorkloadSpec((), 1000.0, 0)
     with pytest.raises(ConfigError):  # ids must be 0..n-1
         WorkloadSpec((StreamSpec(1, 0.01, 100.0, 500.0, 1.0),), 1000.0, 0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("arrival_rate", "0.01"), ("arrival_rate", math.inf), ("mean_exec", math.nan),
+    ("mean_deadline", None), ("reward", True), ("reward", -math.inf),
+])
+def test_stream_fields_must_be_finite_numbers(field, value):
+    fields = {"id": 0, "arrival_rate": 0.01, "mean_exec": 100.0,
+              "mean_deadline": 500.0, "reward": 1.0, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        StreamSpec(**fields)
+
+
+@pytest.mark.parametrize("stream_id", [0.0, "0", True, None])
+def test_stream_id_must_be_an_integer(stream_id):
+    with pytest.raises(ConfigError, match="stream id must be an integer"):
+        StreamSpec(stream_id, 0.01, 100.0, 500.0, 1.0)
+
+
+@pytest.mark.parametrize("period", ["350", math.inf, math.nan, False])
+def test_period_must_be_a_finite_number(period):
+    with pytest.raises(ConfigError, match="period must be a finite number"):
+        StreamSpec.from_period(0, period, 100.0, 500.0, 1.0)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, "1000", True])
+def test_workload_horizon_must_be_a_finite_number(horizon):
+    with pytest.raises(ConfigError, match="horizon must be a finite number"):
+        WorkloadSpec((StreamSpec(0, 0.01, 100.0, 500.0, 1.0),), horizon, 0)
