@@ -81,6 +81,8 @@ def cmd_sdp(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_json(args.config, "run config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"run config must be a JSON object, got {type(config).__name__}")
     if "workload_file" in config:
         workload = load_workload(config["workload_file"])
     elif "workload" in config:

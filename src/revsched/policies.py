@@ -9,6 +9,8 @@ fractional sharing, and the priority-index rule over sampled jobs.
 
 from __future__ import annotations
 
+import heapq
+
 from . import allocation, zindex
 from .allocation import AllocationVector
 from .errors import ConfigError, require_finite
@@ -184,12 +186,19 @@ class RobustPolicy(TracePolicy):
 
         One pass keeps both maxima of the key (estimate, earliest deadline,
         earliest arrival, lowest stream); a strict ``>`` keeps the first of
-        equal keys, as ``max`` does.
+        equal keys, as ``max`` does. The estimate is ``remaining_estimate``
+        inlined; ``if est < 0.0`` keeps ``max(est, 0.0)``'s result for -0.0
+        and NaN.
         """
-        knowledge, mean_exec = self.knowledge, self._mean_exec
+        exact, mean_exec = self.knowledge == "exact", self._mean_exec
         best = best_key = eligible = eligible_key = None
         for job in self.pending:
-            est = remaining_estimate(job, knowledge, mean_exec)
+            if exact:
+                est = job.exec_remaining
+            else:
+                est = mean_exec[job.stream] - (job.exec_total - job.exec_remaining)
+                if est < 0.0:
+                    est = 0.0
             key = (est, -job.deadline_abs, -job.arrival, -job.stream)
             if best_key is None or key > best_key:
                 best, best_key = job, key
@@ -240,22 +249,52 @@ class RobustPolicy(TracePolicy):
 
 
 class _PerStreamPolicy(TracePolicy):
-    """Trace policy keeping one FIFO-ordered list per stream."""
+    """Trace policy keeping one earliest-deadline heap per stream.
+
+    Heap entries are ``(deadline_abs, arrival, arrival_seq, job)``, so the
+    head of a stream's heap is the job ``min(key=(deadline, arrival))``
+    would pick from its arrival-ordered queue, the first arrival winning a
+    tie. ``lengths[i]`` counts the jobs held for stream ``i``.
+
+    Under the engine every removal is a head: an expiring job has its
+    stream's earliest deadline (expiries arrive in deadline order), and a
+    completing job is the head that ``choose`` returned. Any other job is
+    found by identity and the heap rebuilt.
+    """
 
     def bind(self, specs):
-        self.queues: list[list[Job]] = [[] for _ in specs]
+        self.heaps: list[list[tuple[float, float, int, Job]]] = [[] for _ in specs]
+        self.lengths = [0] * len(specs)
+        self._seq = 0
 
     def on_arrival(self, job, now):
-        self.queues[job.stream].append(job)
+        heapq.heappush(self.heaps[job.stream],
+                       (job.deadline_abs, job.arrival, self._seq, job))
+        self._seq += 1
+        self.lengths[job.stream] += 1
 
     def on_expiry(self, job, now):
-        self.queues[job.stream].remove(job)
+        self._remove(job)
 
     def on_completion(self, job, now):
-        self.queues[job.stream].remove(job)
+        self._remove(job)
+
+    def _remove(self, job):
+        heap = self.heaps[job.stream]
+        if heap and heap[0][3] is job:
+            heapq.heappop(heap)
+        else:
+            for k, entry in enumerate(heap):
+                if entry[3] is job:
+                    break
+            else:
+                raise ValueError(f"job not held by the policy: {job}")
+            del heap[k]
+            heapq.heapify(heap)
+        self.lengths[job.stream] -= 1
 
     def has_runnable(self):
-        return any(self.queues)
+        return any(self.lengths)
 
 
 class ZTracePolicy(_PerStreamPolicy):
@@ -270,11 +309,10 @@ class ZTracePolicy(_PerStreamPolicy):
         self.table = table
 
     def choose(self, now):
-        lengths = [len(q) for q in self.queues]
-        j = self.table.select(lengths)
+        j = self.table.select(self.lengths)
         if j is None:
             return None
-        return min(self.queues[j], key=_edf_key)
+        return self.heaps[j][0][3]
 
 
 class FapRoundRobinPolicy(_PerStreamPolicy):
@@ -302,9 +340,9 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
         self._slot_end: float | None = None
 
     def _start_cycle(self, now):
-        active = [i for i, q in enumerate(self.queues) if q and self.f[i] > 0]
+        active = [i for i, l in enumerate(self.lengths) if l and self.f[i] > 0]
         if not active:  # only zero-share streams are backlogged
-            active = [i for i, q in enumerate(self.queues) if q]
+            active = [i for i, l in enumerate(self.lengths) if l]
             weights = [1.0] * len(active)
         else:
             weights = [self.f[i] for i in active]
@@ -314,7 +352,7 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
         self._slot_end = None
 
     def choose(self, now):
-        if not any(self.queues):
+        if not any(self.lengths):
             self._slots = []
             self._slot_end = None
             return None
@@ -322,10 +360,10 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
             if self._slot_idx >= len(self._slots):
                 self._start_cycle(now)
             i, budget = self._slots[self._slot_idx]
-            if self.queues[i]:
+            if self.lengths[i]:
                 if self._slot_end is None:
                     self._slot_end = now + budget
-                return min(self.queues[i], key=_edf_key)
+                return self.heaps[i][0][3]
             self._slot_idx += 1
             self._slot_end = None
 
@@ -349,6 +387,10 @@ def resolve_allocation(specs, f_param) -> AllocationVector:
     """Turn a policy parameter ("auto" or a list of fractions) into a vector."""
     if f_param is None or f_param == "auto":
         return allocation.optimize(specs).f_star
+    if not isinstance(f_param, (list, tuple)):
+        raise ConfigError(f"allocation must be 'auto' or a list of fractions, got {f_param!r}")
+    for v in f_param:
+        require_finite("allocation fraction", v)
     return AllocationVector.normalized(list(f_param))
 
 

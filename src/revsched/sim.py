@@ -164,6 +164,12 @@ class TracePolicy:
     The engine owns job lifecycles (arrival, expiry, completion) and calls
     back into the policy, which owns eligibility and selection. ``choose``
     may return None only when the policy holds no runnable job.
+
+    Callback contract, which the per-stream heaps of ``policies`` rely on:
+    every job is passed to ``on_arrival`` once, in trace order, and then to
+    exactly one of ``on_expiry`` or ``on_completion`` once, unless it is
+    still held at the horizon. Expiries arrive in deadline order, ties in
+    arrival order, and only a job that ``choose`` returned can complete.
     """
 
     def bind(self, specs) -> None:

@@ -18,11 +18,16 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, require_finite
+
+#: Most jobs a sampled trace may expect (``horizon * sum of arrival rates``);
+#: the campaigns sample about 16k per trace.
+MAX_TRACE_JOBS = 10**7
 
 # Substream kinds for the per-stream RNGs.
 _KIND_GAP = 0
@@ -85,6 +90,8 @@ class WorkloadSpec:
         require_finite("horizon", self.horizon)
         if not (self.horizon > 0):
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -134,33 +141,47 @@ def sample_trace(spec: WorkloadSpec) -> list[Job]:
     """Sample the merged, arrival-ordered job trace of a workload.
 
     Only jobs arriving strictly before the horizon are included. Identical
-    (spec, seed) pairs always produce identical traces.
+    (spec, seed) pairs always produce identical traces. A workload that
+    expects more than ``MAX_TRACE_JOBS`` jobs is a ConfigError, raised
+    before anything is drawn.
     """
+    expected = spec.horizon * sum(s.arrival_rate for s in spec.streams)
+    if expected > MAX_TRACE_JOBS:
+        raise ConfigError(f"workload expects {expected:.3g} jobs per trace, "
+                          f"more than the budget of {MAX_TRACE_JOBS}")
     jobs: list[Job] = []
+    arrival_cols = []
+    counts = []
     for s in spec.streams:
         gap_rng = _substream(spec.seed, s.id, _KIND_GAP)
         mean_gap = 1.0 / s.arrival_rate
-        arrivals: list[float] = []
+        chunks = []
         t = 0.0
         chunk = max(16, int(spec.horizon * s.arrival_rate * 1.2) + 16)
         while True:
             gaps = _exponential(gap_rng, mean_gap, chunk)
             times = t + np.cumsum(gaps)
             inside = times[times < spec.horizon]
-            arrivals.extend(inside.tolist())
+            chunks.append(inside)
             if len(inside) < len(times):
                 break
             t = times[-1]
             chunk = 1024
-        n = len(arrivals)
-        execs = _exponential(_substream(spec.seed, s.id, _KIND_EXEC), s.mean_exec, n)
+        arr = np.concatenate(chunks)
+        n = len(arr)
+        execs = _exponential(_substream(spec.seed, s.id, _KIND_EXEC), s.mean_exec, n).tolist()
         offsets = _exponential(_substream(spec.seed, s.id, _KIND_DEADLINE), s.mean_deadline, n)
-        for k in range(n):
-            a = arrivals[k]
-            jobs.append(Job(s.id, a, float(execs[k]), float(execs[k]),
-                            a + float(offsets[k]), s.reward))
-    jobs.sort(key=lambda j: (j.arrival, j.stream))
-    return jobs
+        # repeat() keeps the Python types of id and reward (an int stays an int)
+        jobs.extend(map(Job, repeat(s.id, n), arr.tolist(), execs, execs,
+                        (arr + offsets).tolist(), repeat(s.reward, n)))
+        arrival_cols.append(arr)
+        counts.append(n)
+    # by arrival, then stream; stable, so equal keys keep their sampled order
+    order = np.lexsort((np.repeat([s.id for s in spec.streams], counts),
+                        np.concatenate(arrival_cols)))
+    merged = np.empty(len(jobs), dtype=object)
+    merged[:] = jobs
+    return merged[order].tolist()
 
 
 def workload_from_dict(data: dict) -> WorkloadSpec:
@@ -170,14 +191,20 @@ def workload_from_dict(data: dict) -> WorkloadSpec:
     "mean_deadline": ..., "value": ...}], "horizon": ..., "seed": ...}``.
     Exactly one of ``rate`` / ``P`` (mean inter-arrival) per stream.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"workload must be a JSON object, got {type(data).__name__}")
     try:
         raw_streams = data["streams"]
         horizon = data["horizon"]
         seed = data["seed"]
     except KeyError as exc:
         raise ConfigError(f"workload file missing key: {exc}") from exc
+    if not isinstance(raw_streams, list):
+        raise ConfigError(f"'streams' must be a list, got {type(raw_streams).__name__}")
     streams = []
     for i, raw in enumerate(raw_streams):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"stream {i} must be a JSON object, got {type(raw).__name__}")
         has_rate = "rate" in raw
         has_period = "P" in raw
         if has_rate == has_period:

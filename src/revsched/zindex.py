@@ -13,6 +13,7 @@ independent cross-check of the first.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .allocation import AllocationVector
@@ -98,6 +99,8 @@ def build_table(specs, f: AllocationVector, l_max: int = DEFAULT_LMAX) -> Priori
     A non-monotone column would indicate a numerical fault (the index is
     provably nondecreasing in the queue length) and raises.
     """
+    if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral):
+        raise ConfigError(f"l_max must be an integer, got {l_max!r}")
     if l_max < 1:
         raise ConfigError(f"l_max must be >= 1, got {l_max}")
     if len(f) != len(specs):

@@ -9,8 +9,11 @@ import io
 import math
 import random
 
+import numpy as np
+
+from revsched import streams
 from revsched.errors import ConfigError
-from revsched.sim import SimMetrics
+from revsched.sim import SimMetrics, TracePolicy
 from revsched.streams import Job
 
 
@@ -112,3 +115,124 @@ def run_ctmc_reference(specs, policy, horizon: float, seed: int) -> SimMetrics:
             revenue[i] += rewards[i]
     return SimMetrics(horizon, arrivals, completions, expirations, revenue,
                       busy_time, None, list(lengths))
+
+
+def sample_trace_reference(spec) -> list[Job]:
+    """``streams.sample_trace`` as a per-job loop with a key sort: the same
+    draws, each job built one at a time. The reference the vectorized
+    sampler is tested against. It draws through ``streams._exponential``, so
+    a test that patches the draws patches both samplers."""
+    exponential, substream = streams._exponential, streams._substream
+    jobs: list[Job] = []
+    for s in spec.streams:
+        gap_rng = substream(spec.seed, s.id, streams._KIND_GAP)
+        mean_gap = 1.0 / s.arrival_rate
+        arrivals: list[float] = []
+        t = 0.0
+        chunk = max(16, int(spec.horizon * s.arrival_rate * 1.2) + 16)
+        while True:
+            gaps = exponential(gap_rng, mean_gap, chunk)
+            times = t + np.cumsum(gaps)
+            inside = times[times < spec.horizon]
+            arrivals.extend(inside.tolist())
+            if len(inside) < len(times):
+                break
+            t = times[-1]
+            chunk = 1024
+        n = len(arrivals)
+        execs = exponential(substream(spec.seed, s.id, streams._KIND_EXEC), s.mean_exec, n)
+        offsets = exponential(substream(spec.seed, s.id, streams._KIND_DEADLINE),
+                              s.mean_deadline, n)
+        for k in range(n):
+            a = arrivals[k]
+            jobs.append(Job(s.id, a, float(execs[k]), float(execs[k]),
+                            a + float(offsets[k]), s.reward))
+    jobs.sort(key=lambda j: (j.arrival, j.stream))
+    return jobs
+
+
+def _edf_key(job: Job):
+    return (job.deadline_abs, job.arrival, job.stream)
+
+
+class _ListPerStreamPolicy(TracePolicy):
+    """One arrival-ordered list per stream, scanned by ``min`` on every
+    ``choose``: the store that the per-stream heaps replaced."""
+
+    def bind(self, specs):
+        self.queues: list[list[Job]] = [[] for _ in specs]
+
+    def on_arrival(self, job, now):
+        self.queues[job.stream].append(job)
+
+    def on_expiry(self, job, now):
+        self.queues[job.stream].remove(job)
+
+    def on_completion(self, job, now):
+        self.queues[job.stream].remove(job)
+
+    def has_runnable(self):
+        return any(self.queues)
+
+
+class ZTraceListPolicy(_ListPerStreamPolicy):
+    """``policies.ZTracePolicy`` over per-stream lists (the reference)."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def choose(self, now):
+        j = self.table.select([len(q) for q in self.queues])
+        if j is None:
+            return None
+        return min(self.queues[j], key=_edf_key)
+
+
+class FapRoundRobinListPolicy(_ListPerStreamPolicy):
+    """``policies.FapRoundRobinPolicy`` over per-stream lists (the reference)."""
+
+    def __init__(self, f, quantum: float):
+        self.f = f
+        self.quantum = quantum
+
+    def bind(self, specs):
+        super().bind(specs)
+        self._slots: list[tuple[int, float]] = []
+        self._slot_idx = 0
+        self._slot_end = None
+
+    def _start_cycle(self, now):
+        active = [i for i, q in enumerate(self.queues) if q and self.f[i] > 0]
+        if not active:
+            active = [i for i, q in enumerate(self.queues) if q]
+            weights = [1.0] * len(active)
+        else:
+            weights = [self.f[i] for i in active]
+        total = sum(weights)
+        self._slots = [(i, self.quantum * w / total) for i, w in zip(active, weights)]
+        self._slot_idx = 0
+        self._slot_end = None
+
+    def choose(self, now):
+        if not any(self.queues):
+            self._slots = []
+            self._slot_end = None
+            return None
+        while True:
+            if self._slot_idx >= len(self._slots):
+                self._start_cycle(now)
+            i, budget = self._slots[self._slot_idx]
+            if self.queues[i]:
+                if self._slot_end is None:
+                    self._slot_end = now + budget
+                return min(self.queues[i], key=_edf_key)
+            self._slot_idx += 1
+            self._slot_end = None
+
+    def next_timer(self, now):
+        return self._slot_end
+
+    def on_timer(self, now):
+        if self._slot_end is not None and now >= self._slot_end:
+            self._slot_idx += 1
+            self._slot_end = None

@@ -239,3 +239,46 @@ def test_replications_must_be_an_integer_of_at_least_two(reps, tmp_path, capsys)
                      "horizon": 2000, "seed": 0},
         "policy": {"name": "fap"}, "replications": reps})
     _assert_config_error(main(["simulate", config]), capsys)
+
+
+_WORKLOAD = {"streams": [{"P": 350, "mean_exec": 600, "mean_deadline": 1000,
+                          "value": 1.0}] * 2,
+             "horizon": 2000, "seed": 0}
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 1.5},
+    {"seed": True},
+    {"workload": [_WORKLOAD]},
+    {"workload": {**_WORKLOAD, "streams": [1, 2]}},
+    {"workload": {**_WORKLOAD, "seed": 1.5}},
+    {"workload": {**_WORKLOAD, "streams": {"0": _WORKLOAD["streams"][0]}}},
+    {"policy": {"name": "policyz", "f": [0.5, 0.5], "l_max": "8"}},
+    {"policy": {"name": "policyz", "f": [0.5, 0.5], "l_max": 8.0}},
+    {"policy": {"name": "fap", "f": "0.5,0.5"}},
+    {"policy": {"name": "fap", "f": [0.5, "0.5"]}},
+])
+def test_mistyped_run_config_rejected(change, tmp_path, capsys):
+    # each of these used to end in a TypeError traceback, or, for streams
+    # given as an object, in a misleading "give exactly one of 'rate' or 'P'"
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": "fap"}, "replications": 2,
+        **change})
+    _assert_config_error(main(["simulate", config]), capsys)
+
+
+@pytest.mark.parametrize("config", [[{"policy": {"name": "edf"}}], "workload"])
+def test_run_config_must_be_an_object(config, tmp_path, capsys):
+    _assert_config_error(main(["simulate", write_json(tmp_path / "run.json", config)]),
+                         capsys)
+
+
+def test_trace_job_budget(tmp_path, capsys):
+    # 1e12 time units at P = 350 used to ask numpy for 25.5 GiB of arrivals
+    config = write_json(tmp_path / "run.json", {
+        "workload": {**_WORKLOAD, "horizon": 1e12}, "policy": {"name": "edf"},
+        "engine": "trace", "replications": 2})
+    rc = main(["simulate", config])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith("error:") and "budget" in err

@@ -16,7 +16,7 @@ from revsched.sim import run_trace
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
 from revsched.zindex import build_table
 
-from helpers import fresh_copy
+from helpers import FapRoundRobinListPolicy, ZTraceListPolicy, fresh_copy
 
 
 def job(stream, arrival, exec_time, deadline_abs, reward=1.0):
@@ -323,6 +323,140 @@ def test_ztrace_serves_selected_stream_earliest_deadline():
     chosen = policy.choose(1.0)
     assert chosen is b  # earliest deadline within the chosen stream
     assert policy.has_runnable()
+
+
+def test_per_stream_store_removes_a_job_that_is_not_the_head():
+    sp = specs2()
+    policy = ZTracePolicy(build_table(sp, AllocationVector((0.5, 0.5)), 32))
+    policy.bind(sp)
+    a, b, c = job(0, 0.0, 5.0, 10.0), job(0, 1.0, 5.0, 20.0), job(0, 2.0, 5.0, 30.0)
+    d = job(1, 2.0, 5.0, 15.0)
+    for j in (a, b, c, d):
+        policy.on_arrival(j, 2.0)
+    assert policy.lengths == [3, 1]
+    policy.on_expiry(c, 3.0)    # the last entry of stream 0's heap
+    policy.on_completion(b, 3.0)  # an inner entry
+    assert policy.lengths == [1, 1]
+    assert [e[3] for e in policy.heaps[0]] == [a]
+    policy.on_expiry(a, 10.0)
+    assert policy.choose(10.0) is d
+    policy.on_completion(d, 11.0)
+    assert policy.lengths == [0, 0] and not policy.has_runnable()
+    assert policy.choose(11.0) is None
+    with pytest.raises(ValueError):
+        policy.on_expiry(a, 12.0)
+    with pytest.raises(ValueError):
+        policy.on_completion(job(1, 0.0, 1.0, 5.0), 12.0)
+
+
+@given(jobs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(1, 4)),
+                    min_size=1, max_size=12),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_per_stream_store_serves_earliest_deadline_after_any_removals(jobs, data):
+    # remove any subset in any order by direct callback, then drain: the
+    # store must still hand out each stream's jobs by (deadline, arrival,
+    # arrival order)
+    sp = specs2()
+    policy = ZTracePolicy(build_table(sp, AllocationVector((0.5, 0.5)), 32))
+    policy.bind(sp)
+    held = [job(s, float(a), 1.0, float(a + d)) for s, a, d in jobs]
+    for j in held:
+        policy.on_arrival(j, 0.0)
+    gone = data.draw(st.lists(st.sampled_from(held), unique_by=id))
+    for k, j in enumerate(gone):
+        (policy.on_expiry if k % 2 else policy.on_completion)(j, 0.0)
+    left = [j for j in held if all(j is not g for g in gone)]
+    assert policy.lengths == [sum(j.stream == i for j in left) for i in (0, 1)]
+    assert policy.has_runnable() == bool(left)
+    served = []
+    while (j := policy.choose(0.0)) is not None:
+        served.append(j)
+        policy.on_completion(j, 0.0)
+    for i in (0, 1):
+        want = sorted((j for j in left if j.stream == i),
+                      key=lambda j: (j.deadline_abs, j.arrival))
+        assert [j for j in served if j.stream == i] == want
+
+
+class _CountingStore:
+    """Mixin checking after every callback that each stream's heap holds
+    exactly the jobs ``lengths`` counts, all of them still live."""
+
+    def _check(self):
+        assert [len(h) for h in self.heaps] == self.lengths
+        assert all(e[3]._live and e[3].stream == i
+                   for i, h in enumerate(self.heaps) for e in h)
+
+    def on_arrival(self, job, now):
+        super().on_arrival(job, now)
+        self._check()
+
+    def on_expiry(self, job, now):
+        super().on_expiry(job, now)
+        self._check()
+
+    def on_completion(self, job, now):
+        super().on_completion(job, now)
+        self._check()
+
+
+class _CountingZTrace(_CountingStore, ZTracePolicy):
+    pass
+
+
+class _CountingFapRoundRobin(_CountingStore, FapRoundRobinPolicy):
+    pass
+
+
+# arrivals, executions and deadline windows on coarse grids, so that exact
+# deadline and arrival ties within and across streams are common
+_tied_jobs = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 12), st.sampled_from([0.5, 1.0, 3.0]),
+              st.sampled_from([1.0, 2.0, 4.0, 8.0])),
+    min_size=1, max_size=30)
+
+
+@given(raw=_tied_jobs, rule=st.sampled_from(["window", "proportional"]),
+       shares=st.sampled_from([(0.2, 0.3, 0.5), (0.0, 0.5, 0.5), (1.0, 0.0, 0.0)]),
+       quantum=st.sampled_from([0.25, 1.0, 5.0]))
+@settings(max_examples=200, deadline=None)
+def test_heap_policies_match_the_list_references(raw, rule, shares, quantum):
+    sp = [StreamSpec(i, 0.05, 1.0 + i, 4.0, 1.0 + i) for i in range(3)]
+    f = AllocationVector(shares)
+    table = build_table(sp, AllocationVector.normalized([1.0, 1.0, 1.0]), 8)
+
+    def trace():
+        jobs = [Job(s, float(a), e, e,
+                    a + (2.0 * e if rule == "proportional" else w), 1.0 + s)
+                for s, a, e, w in raw]
+        return sorted(jobs, key=lambda j: (j.arrival, j.stream))
+
+    for policy, reference in ((_CountingZTrace(table), ZTraceListPolicy(table)),
+                              (_CountingFapRoundRobin(f, quantum),
+                               FapRoundRobinListPolicy(f, quantum))):
+        got = run_trace(sp, trace(), policy, 30.0)
+        assert got == run_trace(sp, trace(), reference, 30.0)
+        assert policy.lengths == got.still_pending
+
+
+@pytest.mark.parametrize("rule", ["exponential", "proportional"])
+def test_heap_policies_match_the_list_references_on_a_sampled_trace(rule):
+    workload = presets.robust_workload(2.0, 3.0, seed=5, horizon=20_000.0)
+    sp = workload.streams
+    f = resolve_allocation(sp, [0.4, 0.3, 0.2, 0.1])
+    table = build_table(sp, f, 64)
+    trace = sample_trace(workload)
+    if rule == "proportional":
+        for j in trace:
+            j.deadline_abs = j.arrival + 2.0 * j.exec_total
+    quantum = default_quantum(sp)
+    for policy, reference in ((ZTracePolicy(table), ZTraceListPolicy(table)),
+                              (FapRoundRobinPolicy(f, quantum),
+                               FapRoundRobinListPolicy(f, quantum))):
+        got = run_trace(sp, [fresh_copy(j) for j in trace], policy, workload.horizon)
+        want = run_trace(sp, [fresh_copy(j) for j in trace], reference, workload.horizon)
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

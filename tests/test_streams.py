@@ -2,16 +2,20 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revsched import streams
 from revsched.errors import ConfigError
-from revsched.streams import (Job, StreamSpec, WorkloadSpec, is_overloaded,
-                              load_workload, sample_trace, utilization,
-                              workload_from_dict)
+from revsched.streams import (MAX_TRACE_JOBS, Job, StreamSpec, WorkloadSpec,
+                              is_overloaded, load_workload, sample_trace,
+                              utilization, workload_from_dict)
 
-from helpers import fresh_copy
+from helpers import fresh_copy, sample_trace_reference
 
 
 def two_stream_workload(horizon=100_000.0, seed=7):
@@ -195,3 +199,65 @@ def test_period_must_be_a_finite_number(period):
 def test_workload_horizon_must_be_a_finite_number(horizon):
     with pytest.raises(ConfigError, match="horizon must be a finite number"):
         WorkloadSpec((StreamSpec(0, 0.01, 100.0, 500.0, 1.0),), horizon, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "0", None])
+def test_workload_seed_must_be_an_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        WorkloadSpec((StreamSpec(0, 0.01, 100.0, 500.0, 1.0),), 1000.0, seed)
+    assert WorkloadSpec((StreamSpec(0, 0.01, 100.0, 500.0, 1.0),), 1000.0,
+                        np.uint64(3)).seed == 3
+
+
+@pytest.mark.parametrize("data,message", [
+    ([], "workload must be a JSON object"),
+    ({"streams": {"0": {}}, "horizon": 1.0, "seed": 0}, "'streams' must be a list"),
+    ({"streams": [[0.01, 100, 500, 1]], "horizon": 1.0, "seed": 0},
+     "stream 0 must be a JSON object"),
+])
+def test_workload_from_dict_checks_the_json_types(data, message):
+    with pytest.raises(ConfigError, match=message):
+        workload_from_dict(data)
+
+
+def test_sample_trace_job_budget():
+    # the budget is on the expected count, checked before any draw
+    rate = 0.01
+    spec = WorkloadSpec((StreamSpec(0, rate, 100.0, 500.0, 1.0),
+                         StreamSpec(1, rate, 100.0, 500.0, 1.0)),
+                        MAX_TRACE_JOBS / (2 * rate) * 1.001, 0)
+    with mock.patch.object(streams, "_substream", side_effect=AssertionError("drew")):
+        with pytest.raises(ConfigError, match="budget"):
+            sample_trace(spec)
+
+
+_FIELDS = ("stream", "arrival", "exec_total", "exec_remaining", "deadline_abs",
+           "reward", "_live")
+
+# a rate of 1e-9 gives a stream with no jobs over these horizons
+_stream_params = st.tuples(
+    st.sampled_from([1e-9, 0.002, 0.01, 0.05]), st.sampled_from([5.0, 60.0]),
+    st.sampled_from([20.0, 300.0]), st.sampled_from([1, 2.5, 400]))
+
+
+def _floored(rng, mean, n):
+    # whole-number draws, so arrivals tie within and across streams
+    return np.floor(-mean * np.log1p(-rng.random(n)))
+
+
+@given(params=st.lists(_stream_params, min_size=1, max_size=4),
+       horizon=st.sampled_from([1.0, 700.0, 3000.0]), seed=st.integers(0, 2**64 - 1),
+       floored=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sample_trace_matches_the_per_job_reference(params, horizon, seed, floored):
+    spec = WorkloadSpec(tuple(StreamSpec(i, *p) for i, p in enumerate(params)),
+                        horizon, seed)
+    with mock.patch.object(streams, "_exponential",
+                           _floored if floored else streams._exponential):
+        got, want = sample_trace(spec), sample_trace_reference(spec)
+    assert type(got) is list and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is Job
+        for name in _FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x == y and type(x) is type(y), (name, x, y)
