@@ -83,7 +83,11 @@ def cmd_simulate(args) -> int:
     config = load_json(args.config, "run config")
     if not isinstance(config, dict):
         raise ConfigError(f"run config must be a JSON object, got {type(config).__name__}")
-    if "workload_file" in config:
+    # null stands for an absent path
+    for key in ("workload_file", "out"):
+        if config.get(key) is not None and not isinstance(config[key], str):
+            raise ConfigError(f"run config {key!r} must be a path string, got {config[key]!r}")
+    if config.get("workload_file") is not None:
         workload = load_workload(config["workload_file"])
     elif "workload" in config:
         workload = workload_from_dict(config["workload"])

@@ -20,6 +20,12 @@ small, the gain's leftover error comes from the span stopping rule
 between ``lam * diff.min()`` and ``lam * diff.max()`` (``lam`` the
 uniformization rate, ``diff`` the sweep's change in value); the solution
 returns the midpoint as ``gain`` and the half-width as ``gain_err``.
+
+A sweep works on preallocated arrays. Each of the two alternating value
+buffers is flat and holds a zero row, V and a copy of V's last row, so the
+values after one job more or less in queue 1 are contiguous views of it;
+the queue-2 shifts are copied. An empty queue's serve reward is -inf, so
+its action drops out of the maximum with no masking pass.
 """
 
 from __future__ import annotations
@@ -131,53 +137,84 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL) -> SdpSolution:
         raise ConfigError(f"tol must be > 0, got {tol}")
     s1, s2 = model.stream1, model.stream2
     L = model.cap
+    n = L + 1
     lam = model.uniformization_rate
-    l1 = np.arange(L + 1, dtype=float)[:, None]
-    l2 = np.arange(L + 1, dtype=float)[None, :]
+    l1 = np.arange(n, dtype=float)[:, None]
+    l2 = np.arange(n, dtype=float)[None, :]
     r1, r2 = s1.arrival_rate, s2.arrival_rate
     mu1, mu2 = s1.service_rate, s2.service_rate
-    exp1 = l1 * s1.deadline_rate  # per-state expiry rates
-    exp2 = l2 * s2.deadline_rate
-    reward1 = s1.reward * mu1
-    reward2 = s2.reward * mu2
-    can1 = np.broadcast_to(l1 > 0, (L + 1, L + 1))
-    can2 = np.broadcast_to(l2 > 0, (L + 1, L + 1))
+    exp1 = np.repeat(l1 * s1.deadline_rate, n, axis=1)  # per-state expiry rates
+    exp2 = np.repeat(l2 * s2.deadline_rate, n, axis=0)
     base_out = r1 + r2 + exp1 + exp2  # blocked arrivals self-loop, kept in rates
+    stay1 = lam - base_out - mu1  # self-loop rate while serving queue 1
+    stay2 = lam - base_out - mu2
+    idle_stay = lam - base_out[0, 0]
+    # reward rate of each serve action, -inf where its queue is empty; the
+    # finite terms added to it keep it there
+    reward1 = np.full((n, n), s1.reward * mu1)
+    reward1[0, :] = -np.inf
+    reward2 = np.full((n, n), s2.reward * mu2)
+    reward2[:, 0] = -np.inf
 
-    V = np.zeros((L + 1, L + 1))
-    up1 = np.empty_like(V)
-    up2 = np.empty_like(V)
-    dn1 = np.empty_like(V)
-    dn2 = np.empty_like(V)
+    # Two flat value buffers alternate as old and new V. Each holds a zero
+    # row, V, then a copy of V's last row, so that V after one more job in
+    # queue 1 (lost at the cap) and after one less (none from empty) are
+    # contiguous views of it; the queue-2 shifts are copied.
+    size = n * n
+    layouts = []
+    for buf in (np.zeros(size + 2 * n), np.zeros(size + 2 * n)):
+        layouts.append((buf[n:n + size].reshape(n, n),  # V
+                        buf[2 * n:].reshape(n, n),  # up1
+                        buf[:size].reshape(n, n),  # dn1
+                        buf[size:size + n], buf[size + n:]))  # last row, its copy
+    up2 = np.empty((n, n))
+    dn2 = np.zeros((n, n))  # column 0 stays 0: zero expiry rate there anyway
+    common = np.empty((n, n))
+    term = np.empty((n, n))
+    q1 = np.empty((n, n))
+    q2 = np.empty((n, n))
+    best = np.empty((n, n))
+    diff = np.empty((n, n))
+    cur = 0  # index of the buffer holding V
     for it in range(1, MAX_ITERS + 1):
-        up1[:-1, :] = V[1:, :]
-        up1[-1, :] = V[-1, :]  # arrival lost at the cap
+        V, up1, dn1, _, _ = layouts[cur]
         up2[:, :-1] = V[:, 1:]
-        up2[:, -1] = V[:, -1]
-        dn1[1:, :] = V[:-1, :]
-        dn1[0, :] = 0.0  # zero expiry rate there anyway
+        up2[:, -1] = V[:, -1]  # arrival lost at the cap
         dn2[:, 1:] = V[:, :-1]
-        dn2[:, 0] = 0.0
-        common = r1 * up1 + r2 * up2 + exp1 * dn1 + exp2 * dn2
-        q1 = np.where(can1, common + reward1 + mu1 * dn1 + (lam - base_out - mu1) * V,
-                      -np.inf)
-        q2 = np.where(can2, common + reward2 + mu2 * dn2 + (lam - base_out - mu2) * V,
-                      -np.inf)
+        np.multiply(r1, up1, out=common)
+        np.multiply(r2, up2, out=term)
+        common += term
+        np.multiply(exp1, dn1, out=term)
+        common += term
+        np.multiply(exp2, dn2, out=term)
+        common += term
+        np.add(common, reward1, out=q1)
+        np.multiply(mu1, dn1, out=term)
+        q1 += term
+        np.multiply(stay1, V, out=term)
+        q1 += term
+        np.add(common, reward2, out=q2)
+        np.multiply(mu2, dn2, out=term)
+        q2 += term
+        np.multiply(stay2, V, out=term)
+        q2 += term
         # idle is legal only when both queues are empty (work conservation)
-        best = np.maximum(q1, q2)
-        best[0, 0] = common[0, 0] + (lam - base_out[0, 0]) * V[0, 0]
-        V_new = best / lam
-        diff = V_new - V
+        np.maximum(q1, q2, out=best)
+        best[0, 0] = common[0, 0] + idle_stay * V[0, 0]
+        cur = 1 - cur
+        V_new, _, _, last, last_copy = layouts[cur]
+        np.divide(best, lam, out=V_new)
+        np.subtract(V_new, V, out=diff)
         span = diff.max() - diff.min()
         V_new -= V_new[0, 0]
-        V = V_new
+        last_copy[:] = last
         if span < tol:
             gain = float(lam * 0.5 * (diff.max() + diff.min()))
             gain_err = float(lam * span / 2)
             # an empty queue's q is -inf, so only (0, 0) needs fixing up
             policy = np.where(q1 >= q2, SERVE_1, SERVE_2).astype(np.int8)
             policy[0, 0] = IDLE
-            return SdpSolution(gain, V, policy, it, L, model.tail_bound, gain_err)
+            return SdpSolution(gain, V_new.copy(), policy, it, L, model.tail_bound, gain_err)
     raise NumericalError(f"value iteration did not converge in {MAX_ITERS} iterations")
 
 

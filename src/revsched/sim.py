@@ -4,11 +4,15 @@ The CTMC engine simulates only the joint queue-length chain by competing
 exponential clocks; it supports queue-length policies (fixed-share and
 index-based) and is the fast path for the analytic comparisons. A run
 visits few distinct queue-length vectors, so it builds each visited state's
-total rate, busy fraction and cumulative event walk once and looks them up
-on every later visit; this relies on ``QueuePolicy.service_rates`` being a
-pure function of the queue lengths. The trace engine replays a sampled job
-list job-by-job and supports every policy, including ones that inspect
-individual deadlines and execution times.
+row once: total rate, busy fraction and cumulative event walk, plus one
+successor link and one hit count per walk index. A link is filled the first
+time its transition is taken, so an event is a clock draw, a bisection of
+the walk, a hit and a step along the link. Arrivals, expiries, completions
+and revenue are summed from the hits when the run ends. This relies on
+``QueuePolicy.service_rates`` being a pure function of the queue lengths.
+The trace engine replays a sampled job list job-by-job and supports every
+policy, including ones that inspect individual deadlines and execution
+times.
 
 Both engines expose the same metrics record and both let the deadline
 clock of every queued job keep running while it is in service: a running
@@ -22,7 +26,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 
 import numpy as np
 
@@ -109,31 +115,42 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     rng = random.Random(seed)
     expovariate, uniform = rng.expovariate, rng.random
     events = [divmod(k, n) for k in range(3 * n)]
-    lengths = [0] * n
-    arrivals = [0] * n
-    completions = [0] * n
-    expirations = [0] * n
-    revenue = [0.0] * n
-    busy_time = 0.0
-    t = 0.0
-    # per visited state: total rate, busy fraction, the cumulative walk over
-    # arrivals, expiries, then completions, and the (kind, stream) of each
-    # walk index; index 3n is the fallback when float round-off leaves u at
-    # or above the walk's top
-    rows: dict[tuple[int, ...],
-               tuple[float, float, list[float], list[tuple[int, int]]]] = {}
-    while True:
-        state = tuple(lengths)
+    # the walk's (kind, stream) per index, the fallback being a completion
+    # at the last stream if it is served, else an arrival there
+    served_events = events + [events[3 * n - 1]]
+    unserved_events = events + [events[n - 1]]
+    # a row per visited state: total rate, busy fraction, the cumulative walk
+    # over arrivals, expiries, then completions; per walk index a successor
+    # row (None until that transition is first taken) and a hit count; the
+    # state; and the (kind, stream) of each walk index. Index 3n is the
+    # fallback when float round-off leaves u at or above the walk's top.
+    rows: dict[tuple[int, ...], tuple] = {}
+
+    def visit(state):
         row = rows.get(state)
         if row is None:
+            lengths = list(state)
             srates = policy.service_rates(lengths)
             exp_rates = [lengths[i] * dl_rates[i] for i in range(n)]
             row = rows[state] = (
                 arr_total + sum(exp_rates) + sum(srates),
                 min(1.0, sum(srates[i] * mean_execs[i] for i in range(n))),
-                list(accumulate(arr_rates + exp_rates + srates)),
-                events + [events[3 * n - 1 if srates[n - 1] > 0 else n - 1]])
-        total, busy_frac, walk, row_events = row
+                tuple(accumulate(arr_rates + exp_rates + srates)),
+                [None] * (3 * n + 1), [0] * (3 * n + 1),
+                state, served_events if srates[n - 1] > 0 else unserved_events)
+        return row
+
+    def successor(row, k):
+        kind, i = row[6][k]
+        lengths = list(row[5])
+        lengths[i] += 1 if kind == 0 else -1
+        return visit(tuple(lengths))
+
+    row = visit((0,) * n)
+    busy_time = 0.0
+    t = 0.0
+    while True:
+        total, busy_frac, walk, succ, hits, _, _ = row
         dt = expovariate(total) if total > 0 else math.inf
         if t + dt >= horizon:
             busy_time += busy_frac * (horizon - t)
@@ -141,19 +158,24 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
         t += dt
         busy_time += busy_frac * dt
         # the first event whose partial sum exceeds u
-        kind, i = row_events[bisect_right(walk, uniform() * total)]
-        if kind == 0:
-            arrivals[i] += 1
-            lengths[i] += 1
-        elif kind == 1:
-            expirations[i] += 1
-            lengths[i] -= 1
-        else:
-            completions[i] += 1
-            lengths[i] -= 1
-            revenue[i] += rewards[i]
+        k = bisect_right(walk, uniform() * total)
+        hits[k] += 1
+        nxt = succ[k]
+        if nxt is None:
+            nxt = succ[k] = successor(row, k)
+        row = nxt
+    still_pending = list(row[5])
+    arrivals = [0] * n
+    expirations = [0] * n
+    completions = [0] * n
+    counts = (arrivals, expirations, completions)
+    for *_, hits, _, row_events in rows.values():
+        for (kind, i), hit in zip(row_events, hits):
+            counts[kind][i] += hit
+    # the same left fold of rewards as adding one per completion
+    revenue = [reduce(add, repeat(rewards[i], completions[i]), 0.0) for i in range(n)]
     metrics = SimMetrics(horizon, arrivals, completions, expirations, revenue,
-                         busy_time, None, list(lengths))
+                         busy_time, None, still_pending)
     metrics.validate()
     return metrics
 

@@ -29,14 +29,24 @@ def priority(s: StreamSpec, f_i: float, l: int) -> float:
     """Priority index of stream ``s`` with share ``f_i`` at queue length ``l``."""
     if l < 1:
         raise ConfigError(f"queue length must be >= 1, got {l}")
+    return _priority_row(s, f_i, l, l)[0]
+
+
+def _priority_row(s: StreamSpec, f_i: float, first: int, last: int) -> list[float]:
+    """Indices of stream ``s`` at queue lengths ``first..last``, with the
+    per-stream constants computed once."""
     if not (0.0 <= f_i <= 1.0):
         raise ConfigError(f"fraction must be in [0, 1], got {f_i}")
+    r = s.arrival_rate
     sf = s.service_rate * f_i
     d = s.deadline_rate
-    pi0_base = pi0(QueueParams(s.arrival_rate, sf, d))
-    pi0_shifted = pi0(QueueParams(s.arrival_rate, sf + l * d, d))
-    return s.reward * s.service_rate * (
-        1.0 - (sf * pi0_base) / ((sf + l * d) * pi0_shifted))
+    peak = s.reward * s.service_rate
+    base = QueueParams(r, sf, d)
+    row = []
+    for l in range(first, last + 1):
+        shifted = sf + l * d
+        row.append(peak * (1.0 - (sf * pi0(base)) / (shifted * pi0(QueueParams(r, shifted, d)))))
+    return row
 
 
 def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
@@ -109,7 +119,7 @@ def build_table(specs, f: AllocationVector, l_max: int = DEFAULT_LMAX) -> Priori
     limits = []
     for s, f_i in zip(specs, f.fractions):
         limit = s.reward * s.service_rate
-        row = [priority(s, f_i, l) for l in range(1, l_max + 1)]
+        row = _priority_row(s, f_i, 1, l_max)
         for l in range(1, len(row)):
             if row[l] < row[l - 1] - _MONOTONE_SLACK * limit:
                 raise NumericalError(

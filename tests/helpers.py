@@ -12,7 +12,8 @@ import random
 import numpy as np
 
 from revsched import streams
-from revsched.errors import ConfigError
+from revsched.dp import DEFAULT_TOL, IDLE, MAX_ITERS, SERVE_1, SERVE_2, SdpSolution
+from revsched.errors import ConfigError, NumericalError
 from revsched.sim import SimMetrics, TracePolicy
 from revsched.streams import Job
 
@@ -115,6 +116,60 @@ def run_ctmc_reference(specs, policy, horizon: float, seed: int) -> SimMetrics:
             revenue[i] += rewards[i]
     return SimMetrics(horizon, arrivals, completions, expirations, revenue,
                       busy_time, None, list(lengths))
+
+
+def solve_reference(model, tol: float = DEFAULT_TOL) -> SdpSolution:
+    """``dp.solve`` with the sweep written out array by array: eight shifted
+    slice copies, each serve action in its own ``np.where``, a fresh array per
+    operation. The same float operations in the same order, so the
+    preallocated sweep of ``dp.solve`` is tested against it with ``==``."""
+    s1, s2 = model.stream1, model.stream2
+    L = model.cap
+    lam = model.uniformization_rate
+    l1 = np.arange(L + 1, dtype=float)[:, None]
+    l2 = np.arange(L + 1, dtype=float)[None, :]
+    r1, r2 = s1.arrival_rate, s2.arrival_rate
+    mu1, mu2 = s1.service_rate, s2.service_rate
+    exp1 = l1 * s1.deadline_rate
+    exp2 = l2 * s2.deadline_rate
+    reward1 = s1.reward * mu1
+    reward2 = s2.reward * mu2
+    can1 = np.broadcast_to(l1 > 0, (L + 1, L + 1))
+    can2 = np.broadcast_to(l2 > 0, (L + 1, L + 1))
+    base_out = r1 + r2 + exp1 + exp2
+    V = np.zeros((L + 1, L + 1))
+    up1 = np.empty_like(V)
+    up2 = np.empty_like(V)
+    dn1 = np.empty_like(V)
+    dn2 = np.empty_like(V)
+    for it in range(1, MAX_ITERS + 1):
+        up1[:-1, :] = V[1:, :]
+        up1[-1, :] = V[-1, :]
+        up2[:, :-1] = V[:, 1:]
+        up2[:, -1] = V[:, -1]
+        dn1[1:, :] = V[:-1, :]
+        dn1[0, :] = 0.0
+        dn2[:, 1:] = V[:, :-1]
+        dn2[:, 0] = 0.0
+        common = r1 * up1 + r2 * up2 + exp1 * dn1 + exp2 * dn2
+        q1 = np.where(can1, common + reward1 + mu1 * dn1 + (lam - base_out - mu1) * V,
+                      -np.inf)
+        q2 = np.where(can2, common + reward2 + mu2 * dn2 + (lam - base_out - mu2) * V,
+                      -np.inf)
+        best = np.maximum(q1, q2)
+        best[0, 0] = common[0, 0] + (lam - base_out[0, 0]) * V[0, 0]
+        V_new = best / lam
+        diff = V_new - V
+        span = diff.max() - diff.min()
+        V_new -= V_new[0, 0]
+        V = V_new
+        if span < tol:
+            gain = float(lam * 0.5 * (diff.max() + diff.min()))
+            gain_err = float(lam * span / 2)
+            policy = np.where(q1 >= q2, SERVE_1, SERVE_2).astype(np.int8)
+            policy[0, 0] = IDLE
+            return SdpSolution(gain, V, policy, it, L, model.tail_bound, gain_err)
+    raise NumericalError(f"value iteration did not converge in {MAX_ITERS} iterations")
 
 
 def sample_trace_reference(spec) -> list[Job]:

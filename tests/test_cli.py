@@ -282,3 +282,15 @@ def test_trace_job_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1 and "Traceback" not in err
     assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("key", ["workload_file", "out"])
+def test_run_config_paths_must_be_strings(key, tmp_path, capsys):
+    # a number here used to end in "TypeError: expected str, bytes or
+    # os.PathLike object, not int"
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": "fap"}, "replications": 2, key: 3})
+    rc = main(["simulate", config])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith("error:") and key in err

@@ -6,6 +6,8 @@ import logging
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revsched import presets
 from revsched.dp import (CAP_TAIL_TOL, DEFAULT_CAP, IDLE, SERVE_1, SERVE_2,
@@ -13,6 +15,8 @@ from revsched.dp import (CAP_TAIL_TOL, DEFAULT_CAP, IDLE, SERVE_1, SERVE_2,
 from revsched.errors import ConfigError
 from revsched.queueing import QueueParams, pi0, stationary
 from revsched.streams import StreamSpec
+
+from helpers import solve_reference
 
 E1 = (StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0),
       StreamSpec(1, 1 / 350, 600.0, 1000.0, 1.0))
@@ -249,3 +253,34 @@ def test_gain_err_brackets_a_tighter_solve():
     assert loose.gain_err < 10 * abs(tight.gain - loose.gain)  # not vacuous
     assert tight.gain_err < loose.gain_err
     assert solve(model).gain_err < 1e-5 * loose.gain  # the default tol
+
+
+def _assert_same_solution(got, ref):
+    # solve does the float operations of the reference sweep, in its order
+    assert got.gain == ref.gain and got.gain_err == ref.gain_err
+    assert got.iterations == ref.iterations and got.cap == ref.cap
+    assert got.tail_bound == ref.tail_bound
+    assert got.bias.shape == ref.bias.shape and got.bias.tobytes() == ref.bias.tobytes()
+    assert got.policy.dtype == ref.policy.dtype and got.policy.tobytes() == ref.policy.tobytes()
+
+
+@pytest.mark.parametrize("cap", [None, 40], ids=["sized", "cap40"])
+@pytest.mark.parametrize("eid", sorted(presets.TABLE1_ROWS))
+def test_solve_matches_the_reference_sweep_on_table1(eid, cap):
+    model = SdpModel(*presets.table1_workload(eid).streams, cap=cap)
+    _assert_same_solution(solve(model), solve_reference(model))
+
+
+_dp_stream = st.tuples(st.sampled_from([1 / 350, 1 / 200, 0.01]),
+                       st.sampled_from([100.0, 600.0, 900.0]),
+                       st.sampled_from([300.0, 1000.0]),
+                       st.sampled_from([1.0, 1.3, 2.0]))
+
+
+@given(a=_dp_stream, b=_dp_stream, cap=st.integers(1, 25))
+@example(a=(1 / 350, 600.0, 1000.0, 1.0), b=(0.01, 100.0, 300.0, 2.0), cap=1)
+@settings(max_examples=40, deadline=None)
+def test_solve_matches_the_reference_sweep_at_small_caps(a, b, cap):
+    # cap 1 is the 2x2 edge, where every state is at the cap or empty
+    model = SdpModel(StreamSpec(0, *a), StreamSpec(1, *b), cap=cap)
+    _assert_same_solution(solve(model), solve_reference(model))

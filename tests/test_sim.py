@@ -192,6 +192,32 @@ def test_ctmc_asks_the_policy_once_per_visited_state():
     assert sorted(cached.asked) == sorted(set(uncached.asked))
 
 
+def test_ctmc_round_off_fallback_through_a_cached_link(monkeypatch):
+    # the same two rows alternate for 100 events, so from the third event on
+    # the fallback index steps along a successor link built earlier
+    monkeypatch.setattr(sim.random, "Random", _TopOfWalk)
+    specs = [StreamSpec(i, 0.5, 4.0, 8.0, 3.0) for i in range(2)]
+    table = build_table(specs, AllocationVector((0.5, 0.5)), 16)
+    cached, uncached = _Recording(table), _Recording(table)
+    m = run_ctmc(specs, cached, 100.5, seed=0)
+    assert m == run_ctmc_reference(specs, uncached, 100.5, seed=0)
+    assert m.arrivals == m.completions == [0, 50] and m.revenue == [0.0, 150.0]
+    assert cached.asked == [(0, 0), (0, 1)] and len(uncached.asked) == 101
+
+
+def test_ctmc_long_horizon_over_few_states_matches_the_reference():
+    # fast deadlines keep both queues short: a few dozen states, tens of
+    # thousands of events, so every successor link is followed many times
+    # and each stream's revenue is a long fold of its reward
+    specs = [StreamSpec(0, 0.01, 100.0, 50.0, 1.3), StreamSpec(1, 0.02, 40.0, 30.0, 1.0)]
+    table = build_table(specs, AllocationVector((0.4, 0.6)), 16)
+    cached, uncached = _Recording(table), _Recording(table)
+    m = run_ctmc(specs, cached, 1e6, seed=5)
+    assert m == run_ctmc_reference(specs, uncached, 1e6, seed=5)
+    events = sum(m.arrivals) + sum(m.completions) + sum(m.expirations)
+    assert len(cached.asked) < 50 and events > 1000 * len(cached.asked)
+
+
 @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0])
 def test_bad_ctmc_horizon_rejected(horizon, monkeypatch):
     monkeypatch.setattr(sim.random, "Random", BoundedRandom)  # fail, not hang

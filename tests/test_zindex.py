@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revsched import allocation, presets, zindex
 from revsched.allocation import AllocationVector
 from revsched.errors import ConfigError
+from revsched.queueing import pi0
 from revsched.streams import StreamSpec
 from revsched.zindex import (PriorityTable, build_table, priority,
                              priority_via_value_difference)
@@ -142,3 +144,35 @@ def test_bad_arguments_rejected():
         table.select([1, 2, 3])
     with pytest.raises(ConfigError):
         build_table(specs, AllocationVector((1.0,)), 8)
+
+
+_F_STAR_WORKLOADS = (
+    [pytest.param(presets.table1_workload(eid), id=f"E{eid}")
+     for eid in sorted(presets.TABLE1_ROWS)]
+    + [pytest.param(presets.robust_workload(slack, intensity),
+                    id=f"robust-s{slack}-i{intensity}")
+       for slack in (2, 4) for intensity in (1.5, 3)])
+
+
+@pytest.mark.parametrize("workload", _F_STAR_WORKLOADS)
+def test_table_rows_equal_the_direct_index(workload):
+    # the table hoists each stream's constants out of its row; every entry
+    # must still be the float that `priority` computes
+    specs = list(workload.streams)
+    f = allocation.optimize(specs).f_star
+    table = build_table(specs, f)
+    for s, f_i, row in zip(specs, f.fractions, table.z):
+        assert list(row) == [priority(s, f_i, l) for l in range(1, table.l_max + 1)]
+
+
+def test_build_table_calls_pi0_twice_per_entry(monkeypatch):
+    # the benchmark's smoke test counts pi0 calls against table entries
+    calls = []
+
+    def counting_pi0(p):
+        calls.append(p)
+        return pi0(p)
+
+    monkeypatch.setattr(zindex, "pi0", counting_pi0)
+    specs, table = make_table(l_max=64)
+    assert len(calls) >= 2 * sum(len(row) for row in table.z) == 2 * 2 * 64
