@@ -185,13 +185,14 @@ class RobustPolicy(TracePolicy):
         """Longest eligible pending job, else the longest pending job.
 
         One pass keeps both maxima of the key (estimate, earliest deadline,
-        earliest arrival, lowest stream); a strict ``>`` keeps the first of
-        equal keys, as ``max`` does. The estimate is ``remaining_estimate``
-        inlined; ``if est < 0.0`` keeps ``max(est, 0.0)``'s result for -0.0
-        and NaN.
+        earliest arrival, lowest stream); the first of equal keys wins, as
+        with ``max``. Only equal estimates compare the rest of the key, which
+        is ``_edf_key`` order. The estimate is ``remaining_estimate``
+        inlined; ``if est < 0.0`` keeps ``max(est, 0.0)``'s result for -0.0.
         """
         exact, mean_exec = self.knowledge == "exact", self._mean_exec
-        best = best_key = eligible = eligible_key = None
+        best = eligible = None
+        best_est = eligible_est = 0.0
         for job in self.pending:
             if exact:
                 est = job.exec_remaining
@@ -199,14 +200,18 @@ class RobustPolicy(TracePolicy):
                 est = mean_exec[job.stream] - (job.exec_total - job.exec_remaining)
                 if est < 0.0:
                     est = 0.0
-            key = (est, -job.deadline_abs, -job.arrival, -job.stream)
-            if best_key is None or key > best_key:
-                best, best_key = job, key
-            if est <= job.deadline_abs - now and (eligible_key is None or key > eligible_key):
-                eligible, eligible_key = job, key
+            if best is None or est > best_est or (
+                    est == best_est and _edf_key(job) < _edf_key(best)):
+                best, best_est = job, est
+            if est <= job.deadline_abs - now and (
+                    eligible is None or est > eligible_est or (
+                        est == eligible_est and _edf_key(job) < _edf_key(eligible))):
+                eligible, eligible_est = job, est
         return best if eligible is None else eligible
 
     def choose(self, now):
+        if self.phase == "odd":
+            return self.odd_job  # pending until it terminates, which ends the phase
         if not self.pending:
             self.phase = "idle"
             self.odd_job = None
@@ -218,7 +223,6 @@ class RobustPolicy(TracePolicy):
             self.odd_est = remaining_estimate(self.odd_job, self.knowledge,
                                               self._mean_exec)
             self.phase = "odd"
-        if self.phase == "odd":
             return self.odd_job
         return self._longest(now)
 
@@ -230,14 +234,11 @@ class RobustPolicy(TracePolicy):
         self.odd_job = None
 
     def on_completion(self, job, now):
-        super().on_completion(job, now)
+        self.pending.remove(job)
         if self.phase == "odd" and job is self.odd_job:
             self._end_odd(now)
 
-    def on_expiry(self, job, now):
-        super().on_expiry(job, now)
-        if self.phase == "odd" and job is self.odd_job:
-            self._end_odd(now)
+    on_expiry = on_completion  # an expiry of the odd job ends the phase too
 
     def next_timer(self, now):
         return self.even_end if self.phase == "even" else None
@@ -302,17 +303,58 @@ class ZTracePolicy(_PerStreamPolicy):
 
     Within the selected stream the earliest-deadline job runs (the index
     only ranks streams; the intra-stream order is an implementation
-    choice).
+    choice). ``_z[i]`` is stream ``i``'s index at its current length, -1.0
+    while it is empty, kept up to date by the callbacks so that ``choose``
+    is one scan of ``_z`` that picks what ``table.select(lengths)`` would.
     """
 
     def __init__(self, table: zindex.PriorityTable):
         self.table = table
 
+    def bind(self, specs):
+        super().bind(specs)
+        if len(self.table.z) != len(specs):
+            raise ConfigError(f"priority table has {len(self.table.z)} streams "
+                              f"for {len(specs)}")
+        # _zrows[i][l] is the index at length l <= l_max, with -1.0 at l = 0
+        self._zrows = [(-1.0,) + row for row in self.table.z]
+        self._limits = self.table.limit_value
+        self._z = [-1.0] * len(specs)
+
+    # The store's push and head pop are written out here next to the _z update
+    # instead of reached through super(): behind the extra call frames the _z
+    # upkeep cost as much as the table.select it replaces
+    # (BENCH_trace_engine.json). Any other removal goes through _remove.
+    def on_arrival(self, job, now):
+        i = job.stream
+        heapq.heappush(self.heaps[i], (job.deadline_abs, job.arrival, self._seq, job))
+        self._seq += 1
+        l = self.lengths[i] = self.lengths[i] + 1
+        zrow = self._zrows[i]
+        self._z[i] = zrow[l] if l < len(zrow) else self._limits[i]
+
+    def on_expiry(self, job, now):
+        i = job.stream
+        heap = self.heaps[i]
+        if heap and heap[0][3] is job:
+            heapq.heappop(heap)
+            l = self.lengths[i] = self.lengths[i] - 1
+        else:
+            self._remove(job)
+            l = self.lengths[i]
+        zrow = self._zrows[i]
+        self._z[i] = zrow[l] if l < len(zrow) else self._limits[i]
+
+    on_completion = on_expiry
+
     def choose(self, now):
-        j = self.table.select(self.lengths)
-        if j is None:
-            return None
-        return self.heaps[j][0][3]
+        # a strict > from -1.0: empty streams never win, the lowest id wins ties
+        best = None
+        best_z = -1.0
+        for i, zi in enumerate(self._z):
+            if zi > best_z:
+                best, best_z = i, zi
+        return None if best is None else self.heaps[best][0][3]
 
 
 class FapRoundRobinPolicy(_PerStreamPolicy):

@@ -12,7 +12,11 @@ and revenue are summed from the hits when the run ends. This relies on
 ``QueuePolicy.service_rates`` being a pure function of the queue lengths.
 The trace engine replays a sampled job list job-by-job and supports every
 policy, including ones that inspect individual deadlines and execution
-times.
+times. It holds no deadline heap: before the loop it sorts the whole trace
+by deadline once (stably, so ties stay in arrival order) and walks that
+list with one pointer, stepping over jobs that completed before their
+deadline came up. It refuses a trace with a non-finite arrival, deadline or
+execution time.
 
 Both engines expose the same metrics record and both let the deadline
 clock of every queued job keep running while it is in service: a running
@@ -21,14 +25,13 @@ job whose deadline fires is aborted with zero revenue.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -191,7 +194,9 @@ class TracePolicy:
     every job is passed to ``on_arrival`` once, in trace order, and then to
     exactly one of ``on_expiry`` or ``on_completion`` once, unless it is
     still held at the horizon. Expiries arrive in deadline order, ties in
-    arrival order, and only a job that ``choose`` returned can complete.
+    arrival order (the engine presorts the trace by deadline and holds no
+    heap), and only a job that ``choose`` returned can complete.
+    ``has_runnable`` is asked only when ``choose`` returns None.
     """
 
     def bind(self, specs) -> None:
@@ -224,39 +229,49 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
     if not (0 <= horizon < math.inf):  # the arrival sentinel needs a finite horizon
         raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
     n = len(specs)
-    last = -math.inf
+    inf = math.inf
+    last = -inf
     for job in trace:
+        # chained so that a NaN or infinite field fails the test
+        if not (-inf < job.arrival < job.deadline_abs < inf
+                and 0 < job.exec_total < inf and 0 <= job.exec_remaining < inf):
+            raise ConfigError(f"malformed job in trace: {job}")
         if job.arrival < last:
             raise ConfigError("trace is not sorted by arrival time")
-        if job.exec_total <= 0 or job.exec_remaining < 0 or job.deadline_abs <= job.arrival:
-            raise ConfigError(f"malformed job in trace: {job}")
         last = job.arrival
     arrival_times = [job.arrival for job in trace]
-    arrival_times.append(math.inf)  # sentinel: no arrival after the last job
+    arrival_times.append(inf)  # sentinel: no arrival after the last job
+    # every job in expiry order; the sort is stable, so ties keep arrival order
+    exp_jobs = sorted(trace, key=attrgetter("deadline_abs"))
+    exp_times = [job.deadline_abs for job in exp_jobs]
+    exp_times.append(inf)  # sentinel: no expiry after the last deadline
     policy.bind(specs)
-    choose, next_timer = policy.choose, policy.next_timer
-    heappush, heappop = heapq.heappush, heapq.heappop
+    choose, next_timer, has_runnable = policy.choose, policy.next_timer, policy.has_runnable
+    on_arrival, on_expiry, on_completion = (policy.on_arrival, policy.on_expiry,
+                                            policy.on_completion)
     arrivals = [0] * n
     completions = [0] * n
     expirations = [0] * n
     revenue = [0.0] * n
     busy_time = 0.0
     useful_time = 0.0
-    deadline_heap: list[tuple[float, int, Job]] = []  # lazy deletion via _live flag
-    seq = 0
-    idx = 0
+    idx = 0  # trace[:idx] have arrived
+    e = 0  # exp_jobs[:e] have expired or completed
     now = 0.0
     while True:
         running = choose(now)
-        if running is None and policy.has_runnable():
-            raise InvariantError("policy idled with runnable jobs pending")
-        while deadline_heap and not deadline_heap[0][2]._live:
-            heappop(deadline_heap)
         t_next = arrival_times[idx]
-        if running is not None and now + running.exec_remaining < t_next:
+        if running is None:
+            if has_runnable():
+                raise InvariantError("policy idled with runnable jobs pending")
+        elif now + running.exec_remaining < t_next:
             t_next = now + running.exec_remaining
-        if deadline_heap and deadline_heap[0][0] < t_next:
-            t_next = deadline_heap[0][0]
+        # a deadline before t_next follows its job's arrival, so that job has
+        # arrived, and if it is not live it has completed
+        while exp_times[e] < t_next and not exp_jobs[e]._live:
+            e += 1
+        if exp_times[e] < t_next:
+            t_next = exp_times[e]
         timer = next_timer(now)
         if timer is not None and timer < t_next:
             t_next = timer
@@ -270,13 +285,14 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
             busy_time += dt
         now = t_next
         # expiries first: a job completing exactly at its deadline is lost
-        while deadline_heap and deadline_heap[0][0] <= now:
-            job = heappop(deadline_heap)[2]
+        while exp_times[e] <= now:
+            job = exp_jobs[e]
+            e += 1
             if not job._live:
                 continue
             job._live = False
             expirations[job.stream] += 1
-            policy.on_expiry(job, now)
+            on_expiry(job, now)
             if job is running:
                 running = None
         if running is not None and running.exec_remaining <= _COMPLETION_EPS:
@@ -285,15 +301,13 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
             completions[running.stream] += 1
             revenue[running.stream] += running.reward
             useful_time += running.exec_total
-            policy.on_completion(running, now)
+            on_completion(running, now)
         while arrival_times[idx] <= now:
             job = trace[idx]
             idx += 1
             job._live = True
             arrivals[job.stream] += 1
-            heappush(deadline_heap, (job.deadline_abs, seq, job))
-            seq += 1
-            policy.on_arrival(job, now)
+            on_arrival(job, now)
         if timer is not None and timer <= now:
             policy.on_timer(now)
     still = [arrivals[i] - completions[i] - expirations[i] for i in range(n)]

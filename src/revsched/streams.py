@@ -19,6 +19,7 @@ import json
 import numbers
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +151,6 @@ def sample_trace(spec: WorkloadSpec) -> list[Job]:
         raise ConfigError(f"workload expects {expected:.3g} jobs per trace, "
                           f"more than the budget of {MAX_TRACE_JOBS}")
     jobs: list[Job] = []
-    arrival_cols = []
-    counts = []
     for s in spec.streams:
         gap_rng = _substream(spec.seed, s.id, _KIND_GAP)
         mean_gap = 1.0 / s.arrival_rate
@@ -174,14 +173,10 @@ def sample_trace(spec: WorkloadSpec) -> list[Job]:
         # repeat() keeps the Python types of id and reward (an int stays an int)
         jobs.extend(map(Job, repeat(s.id, n), arr.tolist(), execs, execs,
                         (arr + offsets).tolist(), repeat(s.reward, n)))
-        arrival_cols.append(arr)
-        counts.append(n)
-    # by arrival, then stream; stable, so equal keys keep their sampled order
-    order = np.lexsort((np.repeat([s.id for s in spec.streams], counts),
-                        np.concatenate(arrival_cols)))
-    merged = np.empty(len(jobs), dtype=object)
-    merged[:] = jobs
-    return merged[order].tolist()
+    # by arrival; the sort is stable and the jobs were built stream by stream
+    # in id order, so equal arrivals stay by stream, then in sampled order
+    jobs.sort(key=attrgetter("arrival"))
+    return jobs
 
 
 def workload_from_dict(data: dict) -> WorkloadSpec:

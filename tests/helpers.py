@@ -5,6 +5,7 @@ Import them as ``from helpers import ...``; pytest puts this directory on
 """
 
 import csv
+import heapq
 import io
 import math
 import random
@@ -13,8 +14,8 @@ import numpy as np
 
 from revsched import streams
 from revsched.dp import DEFAULT_TOL, IDLE, MAX_ITERS, SERVE_1, SERVE_2, SdpSolution
-from revsched.errors import ConfigError, NumericalError
-from revsched.sim import SimMetrics, TracePolicy
+from revsched.errors import ConfigError, InvariantError, NumericalError
+from revsched.sim import _COMPLETION_EPS, SimMetrics, TracePolicy
 from revsched.streams import Job
 
 
@@ -116,6 +117,80 @@ def run_ctmc_reference(specs, policy, horizon: float, seed: int) -> SimMetrics:
             revenue[i] += rewards[i]
     return SimMetrics(horizon, arrivals, completions, expirations, revenue,
                       busy_time, None, list(lengths))
+
+
+def run_trace_reference(specs, trace: list[Job], policy, horizon: float) -> SimMetrics:
+    """``sim.run_trace`` with a lazy-deletion deadline heap: each arriving job
+    is pushed as ``(deadline, arrival seq, job)``, and dead entries are popped
+    when they reach the top. The engine that presorted expiries replaced,
+    kept as the reference it is tested against with ``==``. It assumes a
+    valid trace and does no input checks."""
+    n = len(specs)
+    arrival_times = [job.arrival for job in trace]
+    arrival_times.append(math.inf)
+    policy.bind(specs)
+    arrivals = [0] * n
+    completions = [0] * n
+    expirations = [0] * n
+    revenue = [0.0] * n
+    busy_time = 0.0
+    useful_time = 0.0
+    deadline_heap: list[tuple[float, int, Job]] = []
+    seq = 0
+    idx = 0
+    now = 0.0
+    while True:
+        running = policy.choose(now)
+        if running is None and policy.has_runnable():
+            raise InvariantError("policy idled with runnable jobs pending")
+        while deadline_heap and not deadline_heap[0][2]._live:
+            heapq.heappop(deadline_heap)
+        t_next = arrival_times[idx]
+        if running is not None and now + running.exec_remaining < t_next:
+            t_next = now + running.exec_remaining
+        if deadline_heap and deadline_heap[0][0] < t_next:
+            t_next = deadline_heap[0][0]
+        timer = policy.next_timer(now)
+        if timer is not None and timer < t_next:
+            t_next = timer
+        if t_next > horizon:
+            if running is not None:
+                busy_time += horizon - now
+            break
+        dt = t_next - now
+        if running is not None:
+            running.exec_remaining -= dt
+            busy_time += dt
+        now = t_next
+        while deadline_heap and deadline_heap[0][0] <= now:
+            job = heapq.heappop(deadline_heap)[2]
+            if not job._live:
+                continue
+            job._live = False
+            expirations[job.stream] += 1
+            policy.on_expiry(job, now)
+            if job is running:
+                running = None
+        if running is not None and running.exec_remaining <= _COMPLETION_EPS:
+            running.exec_remaining = 0.0
+            running._live = False
+            completions[running.stream] += 1
+            revenue[running.stream] += running.reward
+            useful_time += running.exec_total
+            policy.on_completion(running, now)
+        while arrival_times[idx] <= now:
+            job = trace[idx]
+            idx += 1
+            job._live = True
+            arrivals[job.stream] += 1
+            heapq.heappush(deadline_heap, (job.deadline_abs, seq, job))
+            seq += 1
+            policy.on_arrival(job, now)
+        if timer is not None and timer <= now:
+            policy.on_timer(now)
+    still = [arrivals[i] - completions[i] - expirations[i] for i in range(n)]
+    return SimMetrics(horizon, arrivals, completions, expirations, revenue,
+                      busy_time, useful_time, still)
 
 
 def solve_reference(model, tol: float = DEFAULT_TOL) -> SdpSolution:

@@ -16,7 +16,8 @@ from revsched.sim import run_trace
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
 from revsched.zindex import build_table
 
-from helpers import FapRoundRobinListPolicy, ZTraceListPolicy, fresh_copy
+from helpers import (FapRoundRobinListPolicy, ZTraceListPolicy, fresh_copy, lookup,
+                     run_trace_reference)
 
 
 def job(stream, arrival, exec_time, deadline_abs, reward=1.0):
@@ -325,6 +326,12 @@ def test_ztrace_serves_selected_stream_earliest_deadline():
     assert policy.has_runnable()
 
 
+def test_ztrace_rejects_a_table_for_another_stream_count():
+    table = build_table(specs2(), AllocationVector((0.5, 0.5)), 8)
+    with pytest.raises(ConfigError, match="2 streams for 1"):
+        ZTracePolicy(table).bind(specs2()[:1])
+
+
 def test_per_stream_store_removes_a_job_that_is_not_the_head():
     sp = specs2()
     policy = ZTracePolicy(build_table(sp, AllocationVector((0.5, 0.5)), 32))
@@ -349,6 +356,15 @@ def test_per_stream_store_removes_a_job_that_is_not_the_head():
         policy.on_completion(job(1, 0.0, 1.0, 5.0), 12.0)
 
 
+def _check_index_state(policy):
+    """``ZTracePolicy._z`` holds each stream's index at its length (-1.0 when
+    empty), so ``choose`` picks the head of the stream ``select`` picks."""
+    assert policy._z == [lookup(policy.table, i, l) if l else -1.0
+                         for i, l in enumerate(policy.lengths)]
+    j = policy.table.select(policy.lengths)
+    assert policy.choose(0.0) is (None if j is None else policy.heaps[j][0][3])
+
+
 @given(jobs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(1, 4)),
                     min_size=1, max_size=12),
        data=st.data())
@@ -366,6 +382,7 @@ def test_per_stream_store_serves_earliest_deadline_after_any_removals(jobs, data
     gone = data.draw(st.lists(st.sampled_from(held), unique_by=id))
     for k, j in enumerate(gone):
         (policy.on_expiry if k % 2 else policy.on_completion)(j, 0.0)
+        _check_index_state(policy)
     left = [j for j in held if all(j is not g for g in gone)]
     assert policy.lengths == [sum(j.stream == i for j in left) for i in (0, 1)]
     assert policy.has_runnable() == bool(left)
@@ -381,7 +398,10 @@ def test_per_stream_store_serves_earliest_deadline_after_any_removals(jobs, data
 
 class _CountingStore:
     """Mixin checking after every callback that each stream's heap holds
-    exactly the jobs ``lengths`` counts, all of them still live."""
+    exactly the jobs ``lengths`` counts, all of them still live, and before
+    every removal that the job is its stream's heap head, as the engine's
+    callback contract promises (expiries in deadline order, ties in arrival
+    order; only a chosen head completes)."""
 
     def _check(self):
         assert [len(h) for h in self.heaps] == self.lengths
@@ -393,16 +413,20 @@ class _CountingStore:
         self._check()
 
     def on_expiry(self, job, now):
+        assert self.heaps[job.stream][0][3] is job
         super().on_expiry(job, now)
         self._check()
 
     def on_completion(self, job, now):
+        assert self.heaps[job.stream][0][3] is job
         super().on_completion(job, now)
         self._check()
 
 
 class _CountingZTrace(_CountingStore, ZTracePolicy):
-    pass
+    def _check(self):
+        super()._check()
+        _check_index_state(self)
 
 
 class _CountingFapRoundRobin(_CountingStore, FapRoundRobinPolicy):
@@ -417,27 +441,59 @@ _tied_jobs = st.lists(
     min_size=1, max_size=30)
 
 
+_TIED_SPECS = [StreamSpec(i, 0.05, 1.0 + i, 4.0, 1.0 + i) for i in range(3)]
+
+
+def _tied_trace(raw, rule):
+    """Fresh jobs from ``_tied_jobs`` draws, sorted by arrival then stream;
+    the deadline window is drawn, or twice the execution time."""
+    jobs = [Job(s, float(a), e, e, a + (2.0 * e if rule == "proportional" else w), 1.0 + s)
+            for s, a, e, w in raw]
+    return sorted(jobs, key=lambda j: (j.arrival, j.stream))
+
+
 @given(raw=_tied_jobs, rule=st.sampled_from(["window", "proportional"]),
        shares=st.sampled_from([(0.2, 0.3, 0.5), (0.0, 0.5, 0.5), (1.0, 0.0, 0.0)]),
-       quantum=st.sampled_from([0.25, 1.0, 5.0]))
+       quantum=st.sampled_from([0.25, 1.0, 5.0]), l_max=st.sampled_from([2, 8]))
 @settings(max_examples=200, deadline=None)
-def test_heap_policies_match_the_list_references(raw, rule, shares, quantum):
-    sp = [StreamSpec(i, 0.05, 1.0 + i, 4.0, 1.0 + i) for i in range(3)]
+def test_heap_policies_match_the_list_references(raw, rule, shares, quantum, l_max):
+    # l_max 2 puts queue lengths past the table's end, where the index is
+    # the stream's limit value
+    sp = _TIED_SPECS
     f = AllocationVector(shares)
-    table = build_table(sp, AllocationVector.normalized([1.0, 1.0, 1.0]), 8)
-
-    def trace():
-        jobs = [Job(s, float(a), e, e,
-                    a + (2.0 * e if rule == "proportional" else w), 1.0 + s)
-                for s, a, e, w in raw]
-        return sorted(jobs, key=lambda j: (j.arrival, j.stream))
-
+    table = build_table(sp, AllocationVector.normalized([1.0, 1.0, 1.0]), l_max)
     for policy, reference in ((_CountingZTrace(table), ZTraceListPolicy(table)),
                               (_CountingFapRoundRobin(f, quantum),
                                FapRoundRobinListPolicy(f, quantum))):
-        got = run_trace(sp, trace(), policy, 30.0)
-        assert got == run_trace(sp, trace(), reference, 30.0)
+        got = run_trace(sp, _tied_trace(raw, rule), policy, 30.0)
+        assert got == run_trace(sp, _tied_trace(raw, rule), reference, 30.0)
         assert policy.lengths == got.still_pending
+
+
+_TIED_TABLE = build_table(_TIED_SPECS, AllocationVector.normalized([1.0, 1.0, 1.0]), 2)
+_ENGINE_POLICIES = {
+    "edf": EdfPolicy,
+    "redf_exact": lambda: RedfPolicy("exact"),
+    "redf_mean": lambda: RedfPolicy("mean"),
+    "robust2_exact": lambda: RobustPolicy(2.0, "exact"),
+    "robust2_mean": lambda: RobustPolicy(2.0, "mean"),
+    "robust4_exact": lambda: RobustPolicy(4.0, "exact"),
+    "robust4_mean": lambda: RobustPolicy(4.0, "mean"),
+    "policyz": lambda: _CountingZTrace(_TIED_TABLE),
+    "fap": lambda: _CountingFapRoundRobin(AllocationVector((0.2, 0.3, 0.5)), 1.0),
+}
+
+
+@given(raw=_tied_jobs, rule=st.sampled_from(["window", "proportional"]))
+@settings(max_examples=200, deadline=None)
+def test_run_trace_matches_the_heap_engine_reference(raw, rule):
+    # exact deadline ties within and across streams, and jobs that complete
+    # before their deadline: the presorted expiry order and the skipping of
+    # completed jobs must give the lazy-deletion heap's events, float for float
+    for name, make in _ENGINE_POLICIES.items():
+        got = run_trace(_TIED_SPECS, _tied_trace(raw, rule), make(), 30.0)
+        want = run_trace_reference(_TIED_SPECS, _tied_trace(raw, rule), make(), 30.0)
+        assert got == want, name
 
 
 @pytest.mark.parametrize("rule", ["exponential", "proportional"])

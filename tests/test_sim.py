@@ -287,6 +287,18 @@ def test_unsorted_trace_rejected():
         run_trace(SPEC1, trace, EdfPolicy(), 1000.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["arrival", "exec_total", "exec_remaining",
+                                   "deadline_abs"])
+def test_non_finite_job_field_rejected(field, value):
+    # a NaN arrival never reaches the loop's arrival test, so the run would
+    # never end; a NaN deadline would never expire
+    bad = job(0, 10.0, 5.0, 100.0)
+    setattr(bad, field, value)
+    with pytest.raises(ConfigError, match="malformed job"):
+        run_trace(SPEC1, [job(0, 1.0, 5.0, 100.0), bad], EdfPolicy(), 1000.0)
+
+
 @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0])
 def test_bad_trace_horizon_rejected(horizon):
     with pytest.raises(ConfigError):
