@@ -129,9 +129,8 @@ def _parse_ids(spec: str) -> list[int]:
 
 def cmd_experiment(args) -> int:
     rows: list[dict] = []
-    if args.name in ("table1", "all-table1"):
-        ids = sorted(presets.TABLE1_ROWS) if args.name == "all-table1" or not args.ids \
-            else _parse_ids(args.ids)
+    if args.name == "table1":
+        ids = _parse_ids(args.ids) if args.ids else sorted(presets.TABLE1_ROWS)
         for eid in ids:
             outcome = presets.run_table1_experiment(
                 eid, seed=args.seed, reps=args.reps or 20, include_sdp=args.sdp)
@@ -145,15 +144,13 @@ def cmd_experiment(args) -> int:
                     deadline_rule=args.deadline_rule)
                 rows.extend(presets.paired_rows(
                     outcome, ("robust_exact", "robust_mean")))
-    elif args.name == "redf":
+    else:  # redf
         for model in ("random", "linear"):
             for intensity in args.intensity:
                 outcome = presets.run_redf_experiment(
                     model, intensity, seed=args.seed,
                     reps=args.reps or presets.REDF_REPS)
                 rows.extend(presets.paired_rows(outcome, ("redf",)))
-    else:
-        raise ConfigError(f"unknown experiment {args.name!r}")
     _write_output(presets.report_text(rows), args.out)
     return 0
 
@@ -193,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sdp.set_defaults(func=cmd_sdp)
 
     p_exp = sub.add_parser("experiment", help="packaged benchmark campaigns")
-    p_exp.add_argument("name", choices=["table1", "all-table1", "robust", "redf"])
+    p_exp.add_argument("name", choices=["table1", "robust", "redf"])
     p_exp.add_argument("--ids", help="comma-separated experiment ids (table1)")
     p_exp.add_argument("--intensity", type=float, nargs="+",
                        default=list(presets.DEFAULT_INTENSITIES))

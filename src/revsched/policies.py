@@ -133,9 +133,8 @@ class RedfPolicy(EdfPolicy):
             self.rejected.append(victim)
 
     def _resurrect(self, now):
+        # all are live: the engine expires jobs due at now before this completion
         for job in sorted(self.rejected, key=lambda j: (-j.reward, j.deadline_abs)):
-            if job.deadline_abs <= now:
-                continue  # expired; the engine sweep will collect it
             self.pending.append(job)
             if self._feasible(now):
                 self.rejected.remove(job)
@@ -214,7 +213,6 @@ class RobustPolicy(TracePolicy):
             return self.odd_job  # pending until it terminates, which ends the phase
         if not self.pending:
             self.phase = "idle"
-            self.odd_job = None
             self.even_end = None
             return None
         if self.phase == "idle":
@@ -244,44 +242,51 @@ class RobustPolicy(TracePolicy):
         return self.even_end if self.phase == "even" else None
 
     def on_timer(self, now):
-        if self.phase == "even" and self.even_end is not None and now >= self.even_end:
+        if self.phase == "even" and now >= self.even_end:
             self.phase = "idle"
             self.even_end = None
 
 
 class _PerStreamPolicy(TracePolicy):
-    """Trace policy keeping one earliest-deadline heap per stream.
+    """Trace policy keeping one earliest-deadline heap and one rank per stream.
 
     Heap entries are ``(deadline_abs, arrival, arrival_seq, job)``, so the
     head of a stream's heap is the job ``min(key=(deadline, arrival))``
     would pick from its arrival-ordered queue, the first arrival winning a
-    tie. ``lengths[i]`` counts the jobs held for stream ``i``.
+    tie. ``lengths[i]`` counts the jobs held for stream ``i``. ``_z[i]`` is
+    stream ``i``'s rank: -1.0 while it is empty, ``_zrows[i][l]`` while its
+    length ``l`` is inside that row, and ``_limits[i]`` beyond the row. A
+    subclass sets ``_zrows`` (with -1.0 at ``l = 0``) and ``_limits`` in
+    ``bind``.
 
     Under the engine every removal is a head: an expiring job has its
     stream's earliest deadline (expiries arrive in deadline order), and a
     completing job is the head that ``choose`` returned. Any other job is
     found by identity and the heap rebuilt.
+
+    The push, the head pop and the rank update are written out in the
+    callbacks, with no helper or ``super()`` frame: behind those frames
+    ``robust_trace`` ran about 6% fewer jobs per second, and the rank upkeep
+    cost as much as the ``table.select`` it replaces (BENCH_trace_engine.json).
     """
 
     def bind(self, specs):
         self.heaps: list[list[tuple[float, float, int, Job]]] = [[] for _ in specs]
         self.lengths = [0] * len(specs)
+        self._z = [-1.0] * len(specs)
         self._seq = 0
 
     def on_arrival(self, job, now):
-        heapq.heappush(self.heaps[job.stream],
-                       (job.deadline_abs, job.arrival, self._seq, job))
+        i = job.stream
+        heapq.heappush(self.heaps[i], (job.deadline_abs, job.arrival, self._seq, job))
         self._seq += 1
-        self.lengths[job.stream] += 1
-
-    def on_expiry(self, job, now):
-        self._remove(job)
+        l = self.lengths[i] = self.lengths[i] + 1
+        zrow = self._zrows[i]
+        self._z[i] = zrow[l] if l < len(zrow) else self._limits[i]
 
     def on_completion(self, job, now):
-        self._remove(job)
-
-    def _remove(self, job):
-        heap = self.heaps[job.stream]
+        i = job.stream
+        heap = self.heaps[i]
         if heap and heap[0][3] is job:
             heapq.heappop(heap)
         else:
@@ -292,7 +297,11 @@ class _PerStreamPolicy(TracePolicy):
                 raise ValueError(f"job not held by the policy: {job}")
             del heap[k]
             heapq.heapify(heap)
-        self.lengths[job.stream] -= 1
+        l = self.lengths[i] = self.lengths[i] - 1
+        zrow = self._zrows[i]
+        self._z[i] = zrow[l] if l < len(zrow) else self._limits[i]
+
+    on_expiry = on_completion
 
     def has_runnable(self):
         return any(self.lengths)
@@ -303,9 +312,9 @@ class ZTracePolicy(_PerStreamPolicy):
 
     Within the selected stream the earliest-deadline job runs (the index
     only ranks streams; the intra-stream order is an implementation
-    choice). ``_z[i]`` is stream ``i``'s index at its current length, -1.0
-    while it is empty, kept up to date by the callbacks so that ``choose``
-    is one scan of ``_z`` that picks what ``table.select(lengths)`` would.
+    choice). A stream's rank ``_z[i]`` is its index at its current length,
+    so ``choose`` is one scan of ``_z`` that picks what
+    ``table.select(lengths)`` would.
     """
 
     def __init__(self, table: zindex.PriorityTable):
@@ -316,36 +325,8 @@ class ZTracePolicy(_PerStreamPolicy):
         if len(self.table.z) != len(specs):
             raise ConfigError(f"priority table has {len(self.table.z)} streams "
                               f"for {len(specs)}")
-        # _zrows[i][l] is the index at length l <= l_max, with -1.0 at l = 0
         self._zrows = [(-1.0,) + row for row in self.table.z]
         self._limits = self.table.limit_value
-        self._z = [-1.0] * len(specs)
-
-    # The store's push and head pop are written out here next to the _z update
-    # instead of reached through super(): behind the extra call frames the _z
-    # upkeep cost as much as the table.select it replaces
-    # (BENCH_trace_engine.json). Any other removal goes through _remove.
-    def on_arrival(self, job, now):
-        i = job.stream
-        heapq.heappush(self.heaps[i], (job.deadline_abs, job.arrival, self._seq, job))
-        self._seq += 1
-        l = self.lengths[i] = self.lengths[i] + 1
-        zrow = self._zrows[i]
-        self._z[i] = zrow[l] if l < len(zrow) else self._limits[i]
-
-    def on_expiry(self, job, now):
-        i = job.stream
-        heap = self.heaps[i]
-        if heap and heap[0][3] is job:
-            heapq.heappop(heap)
-            l = self.lengths[i] = self.lengths[i] - 1
-        else:
-            self._remove(job)
-            l = self.lengths[i]
-        zrow = self._zrows[i]
-        self._z[i] = zrow[l] if l < len(zrow) else self._limits[i]
-
-    on_completion = on_expiry
 
     def choose(self, now):
         # a strict > from -1.0: empty streams never win, the lowest id wins ties
@@ -377,17 +358,20 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
         super().bind(specs)
         if len(self.f) != len(specs):
             raise ConfigError("allocation length does not match stream count")
+        # a backlogged stream's rank is its share
+        self._zrows = [(-1.0,)] * len(specs)
+        self._limits = self.f.fractions
         self._slots: list[tuple[int, float]] = []
         self._slot_idx = 0
         self._slot_end: float | None = None
 
     def _start_cycle(self, now):
-        active = [i for i, l in enumerate(self.lengths) if l and self.f[i] > 0]
+        active = [i for i, z in enumerate(self._z) if z > 0]
         if not active:  # only zero-share streams are backlogged
             active = [i for i, l in enumerate(self.lengths) if l]
             weights = [1.0] * len(active)
         else:
-            weights = [self.f[i] for i in active]
+            weights = [self._z[i] for i in active]
         total = sum(weights)
         self._slots = [(i, self.quantum * w / total) for i, w in zip(active, weights)]
         self._slot_idx = 0
@@ -413,7 +397,7 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
         return self._slot_end
 
     def on_timer(self, now):
-        if self._slot_end is not None and now >= self._slot_end:
+        if now >= self._slot_end:
             self._slot_idx += 1
             self._slot_end = None
 

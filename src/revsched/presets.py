@@ -245,10 +245,9 @@ def paired_rows(outcome: PairedTraceOutcome, baselines: tuple[str, ...]) -> list
     rows = [summary_row(outcome.experiment, name, summ)
             for name, summ in outcome.summaries.items()]
     for base in baselines:
-        if base in outcome.summaries:
-            rows.append(comparison_row(
-                outcome.experiment, f"improvement_policyz_over_{base}_pct",
-                outcome.improvement("policyz", base)))
+        rows.append(comparison_row(
+            outcome.experiment, f"improvement_policyz_over_{base}_pct",
+            outcome.improvement("policyz", base)))
     return rows
 
 

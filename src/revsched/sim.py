@@ -16,7 +16,7 @@ times. It holds no deadline heap: before the loop it sorts the whole trace
 by deadline once (stably, so ties stay in arrival order) and walks that
 list with one pointer, stepping over jobs that completed before their
 deadline came up. It refuses a trace with a non-finite arrival, deadline or
-execution time.
+execution time, or with more execution left than a job's total.
 
 Both engines expose the same metrics record and both let the deadline
 clock of every queued job keep running while it is in service: a running
@@ -195,8 +195,10 @@ class TracePolicy:
     exactly one of ``on_expiry`` or ``on_completion`` once, unless it is
     still held at the horizon. Expiries arrive in deadline order, ties in
     arrival order (the engine presorts the trace by deadline and holds no
-    heap), and only a job that ``choose`` returned can complete.
-    ``has_runnable`` is asked only when ``choose`` returns None.
+    heap), and only a job that ``choose`` returned can complete. Expiries
+    due at ``now`` come before the completion at ``now``, which REDF's
+    resurrection relies on. ``has_runnable`` is asked only when ``choose``
+    returns None.
     """
 
     def bind(self, specs) -> None:
@@ -205,11 +207,10 @@ class TracePolicy:
     def on_arrival(self, job: Job, now: float) -> None:
         self.pending.append(job)
 
-    def on_expiry(self, job: Job, now: float) -> None:
-        self.pending.remove(job)
-
     def on_completion(self, job: Job, now: float) -> None:
         self.pending.remove(job)
+
+    on_expiry = on_completion
 
     def has_runnable(self) -> bool:
         return bool(self.pending)
@@ -234,7 +235,8 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
     for job in trace:
         # chained so that a NaN or infinite field fails the test
         if not (-inf < job.arrival < job.deadline_abs < inf
-                and 0 < job.exec_total < inf and 0 <= job.exec_remaining < inf):
+                and 0 <= job.exec_remaining <= job.exec_total < inf
+                and job.exec_total > 0):
             raise ConfigError(f"malformed job in trace: {job}")
         if job.arrival < last:
             raise ConfigError("trace is not sorted by arrival time")

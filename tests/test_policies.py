@@ -430,7 +430,10 @@ class _CountingZTrace(_CountingStore, ZTracePolicy):
 
 
 class _CountingFapRoundRobin(_CountingStore, FapRoundRobinPolicy):
-    pass
+    def _check(self):
+        # a stream's rank is its share while it is backlogged, -1.0 when empty
+        super()._check()
+        assert self._z == [self.f[i] if l else -1.0 for i, l in enumerate(self.lengths)]
 
 
 # arrivals, executions and deadline windows on coarse grids, so that exact

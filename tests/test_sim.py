@@ -299,6 +299,14 @@ def test_non_finite_job_field_rejected(field, value):
         run_trace(SPEC1, [job(0, 1.0, 5.0, 100.0), bad], EdfPolicy(), 1000.0)
 
 
+def test_job_with_more_work_left_than_total_rejected():
+    # it would run for its remaining work but be credited only its total, so
+    # useful_time would understate the processor's useful work
+    bad = Job(0, 10.0, 5.0, 50.0, 200.0, 2.0)
+    with pytest.raises(ConfigError, match="malformed job"):
+        run_trace(SPEC1, [bad], EdfPolicy(), 1000.0)
+
+
 @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0])
 def test_bad_trace_horizon_rejected(horizon):
     with pytest.raises(ConfigError):
