@@ -24,6 +24,8 @@ logger = logging.getLogger(__name__)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SIMPLEX_EPS = 1e-12
+#: Smallest ``optimize`` tolerance; golden section stalls at float spacing.
+MIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ def optimize(specs: list[StreamSpec], tol: float = 1e-3) -> FapResult:
     """
     if not specs:
         raise ConfigError("need at least one stream")
-    if not (0 < tol <= 0.1):
-        raise ConfigError(f"tol must be in (0, 0.1], got {tol}")
+    if not (MIN_TOL <= tol <= 0.1):
+        raise ConfigError(f"tol must be in [{MIN_TOL:g}, 0.1], got {tol}")
     if len(specs) == 1:
         v = queueing.stream_revenue(specs[0], 1.0)
         return FapResult(AllocationVector((1.0,)), v, 1)

@@ -18,16 +18,19 @@ import sys
 from pathlib import Path
 
 from . import allocation, dp, policies, presets, zindex
-from .errors import ConfigError, NumericalError, RevschedError
+from .errors import ConfigError, NumericalError, RevschedError, fields
 from .streams import (WorkloadSpec, is_overloaded, load_json, load_workload,
-                      utilization, workload_from_dict)
+                      require_budget, utilization, workload_from_dict)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out_path).write_text(text)
+    except (OSError, ValueError) as exc:  # a directory, a missing parent, a NUL byte
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def cmd_fap(args) -> int:
@@ -80,9 +83,9 @@ def cmd_sdp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_json(args.config, "run config")
-    if not isinstance(config, dict):
-        raise ConfigError(f"run config must be a JSON object, got {type(config).__name__}")
+    config = fields(load_json(args.config, "run config"), "run config", ("policy",),
+                    ("workload", "workload_file", "horizon", "seed", "engine",
+                     "replications", "label", "out"))
     # null stands for an absent path
     for key in ("workload_file", "out"):
         if config.get(key) is not None and not isinstance(config[key], str):
@@ -97,24 +100,19 @@ def cmd_simulate(args) -> int:
         workload = WorkloadSpec(workload.streams, config["horizon"], workload.seed)
     if "seed" in config:
         workload = workload.with_seed(config["seed"])
-    policy_cfg = config.get("policy")
-    if not isinstance(policy_cfg, dict) or "name" not in policy_cfg:
-        raise ConfigError("run config needs policy: {name, ...params}")
-    name = policy_cfg["name"]
-    params = {k: v for k, v in policy_cfg.items() if k != "name"}
-    engine = config.get("engine", "ctmc" if name in ("fap", "policyz") else "trace")
-    reps = config.get("replications", 20)
-    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 2:
-        raise ConfigError(f"replications must be an integer >= 2, got {reps!r}")
+    # any key may sit beside the name: make_policy checks them against the policy
+    params = dict(fields(config["policy"], "policy", ("name",), config["policy"]))
+    name = params.pop("name")
+    engine = config.get("engine", "ctmc" if name in policies.CTMC_POLICIES else "trace")
     if name == "policyz" and not is_overloaded(workload):
         print(f"warning: utilization {utilization(workload):.3f} <= 1; "
               "EDF is the prescribed policy for underloaded systems",
               file=sys.stderr)
     policy = policies.make_policy(name, params, workload.streams, engine)
-    if engine == "ctmc":
-        summary = presets.run_ctmc_policy(workload, policy, reps)
-    else:
-        summary = presets.run_trace_policy(workload, policy, reps)
+    if isinstance(policy, policies.FapRoundRobinPolicy):
+        require_budget(workload.horizon / policy.quantum, "round-robin cycles")
+    run = presets.run_ctmc_policy if engine == "ctmc" else presets.run_trace_policy
+    summary = run(workload, policy, config.get("replications", 20))  # sim.replicate checks it
     rows = [presets.summary_row(config.get("label", "run"), name, summary)]
     _write_output(presets.report_text(rows), config.get("out") or args.out)
     return 0

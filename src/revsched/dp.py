@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_finite, require_int
 from .queueing import MAX_TERMS, SERIES_TOL, QueueParams
 from .sim import QueuePolicy
 from .streams import StreamSpec
@@ -45,6 +45,8 @@ logger = logging.getLogger(__name__)
 
 #: Ceiling of the sized cap.
 DEFAULT_CAP = 150
+#: Largest explicit cap; a sweep's arrays hold (cap + 1)**2 values each.
+MAX_CAP = 1000
 #: Largest share-0 tail mass at or beyond a sized cap.
 CAP_TAIL_TOL = 1e-12
 DEFAULT_TOL = 1e-8
@@ -66,8 +68,8 @@ class SdpModel:
             if self.tail_bound > CAP_TAIL_TOL:
                 logger.warning("queue cap %d leaves tail mass %.3g > %g",
                                self.cap, self.tail_bound, CAP_TAIL_TOL)
-        elif self.cap < 1:
-            raise ConfigError(f"cap must be >= 1, got {self.cap}")
+        else:
+            require_int("cap", self.cap, 1, MAX_CAP + 1)
 
     def _sized_cap(self) -> int:
         for cap in range(1, DEFAULT_CAP):
@@ -109,8 +111,7 @@ def tail_mass(stream: StreamSpec, share: float, cap: int) -> float:
     tail up until its terms are negligible), so there is no ``1 - head``
     cancellation, and a queue whose pi0 underflows still gets a tail near 1.
     """
-    if cap < 0:
-        raise ConfigError(f"cap must be >= 0, got {cap}")
+    require_int("cap", cap, 0)
     p = QueueParams(stream.arrival_rate, stream.service_rate * share, stream.deadline_rate)
     r, a, d = p.arrival_rate, p.aggregate_service, p.deadline_rate
     head = term = 1.0
@@ -133,8 +134,7 @@ def tail_mass(stream: StreamSpec, share: float, cap: int) -> float:
 
 def solve(model: SdpModel, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Relative value iteration on the uniformized chain."""
-    if not (tol > 0):
-        raise ConfigError(f"tol must be > 0, got {tol}")
+    require_finite("tol", tol, above=0.0)
     s1, s2 = model.stream1, model.stream2
     L = model.cap
     n = L + 1
@@ -220,8 +220,7 @@ def solve(model: SdpModel, tol: float = DEFAULT_TOL) -> SdpSolution:
 
 def gap_percent(gain: float, revenue_rate: float) -> float:
     """Percentage revenue loss of a policy relative to the optimal gain."""
-    if gain <= 0:
-        raise ConfigError(f"optimal gain must be > 0, got {gain}")
+    require_finite("optimal gain", gain, above=0.0)
     return 100.0 * (gain - revenue_rate) / gain
 
 

@@ -13,7 +13,7 @@ import heapq
 
 from . import allocation, zindex
 from .allocation import AllocationVector
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, fields, require_finite
 from .sim import QueuePolicy, TracePolicy
 from .streams import Job
 
@@ -164,9 +164,7 @@ class RobustPolicy(TracePolicy):
     """
 
     def __init__(self, slack: float, knowledge: str = "exact"):
-        require_finite("slack factor", slack)
-        if not (slack > 1):
-            raise ConfigError(f"slack factor must be > 1, got {slack}")
+        require_finite("slack factor", slack, above=1.0)
         _check_knowledge(knowledge)
         self.slack = slack
         self.knowledge = knowledge
@@ -348,9 +346,7 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
     """
 
     def __init__(self, f: AllocationVector, quantum: float):
-        require_finite("quantum", quantum)
-        if not (quantum > 0):
-            raise ConfigError(f"quantum must be > 0, got {quantum}")
+        require_finite("quantum", quantum, above=0.0)
         self.f = f
         self.quantum = quantum
 
@@ -405,6 +401,12 @@ class FapRoundRobinPolicy(_PerStreamPolicy):
 # ---------------------------------------------------------------------------
 # construction by name
 
+#: Each policy's parameter names.
+POLICY_PARAMS = {"edf": (), "redf": ("knowledge",), "robust": ("slack", "knowledge"),
+                 "fap": ("f", "quantum"), "policyz": ("f", "l_max")}
+#: The policies the CTMC engine runs; every policy runs on the trace engine.
+CTMC_POLICIES = ("fap", "policyz")
+
 def default_quantum(specs) -> float:
     return min(s.mean_exec for s in specs) / 100.0
 
@@ -423,38 +425,31 @@ def resolve_allocation(specs, f_param) -> AllocationVector:
 def make_policy(name: str, params: dict, specs, engine: str):
     """Build a policy instance for the requested engine.
 
-    Returns the policy object; raises ConfigError for unknown names,
-    invalid parameters, or a policy/engine mismatch.
+    Raises ConfigError for an unknown name, a parameter outside the policy's
+    ``POLICY_PARAMS``, an invalid value, or a policy/engine mismatch.
     """
-    params = dict(params or {})
+    if not isinstance(name, str) or name not in POLICY_PARAMS:
+        raise ConfigError(f"unknown policy {name!r}")
+    params = fields(params or {}, f"policy {name!r}", (), POLICY_PARAMS[name])
     if engine not in ("ctmc", "trace"):
         raise ConfigError(f"unknown engine {engine!r}")
+    if engine == "ctmc" and name not in CTMC_POLICIES:
+        raise ConfigError(f"policy {name!r} needs the trace engine, got {engine!r}")
     if name == "edf":
-        _require_trace(name, engine)
         return EdfPolicy()
     if name == "redf":
-        _require_trace(name, engine)
         return RedfPolicy(params.get("knowledge", "mean"))
     if name == "robust":
-        _require_trace(name, engine)
         return RobustPolicy(params.get("slack", 2.0), params.get("knowledge", "exact"))
+    f = resolve_allocation(specs, params.get("f", "auto"))  # fap or policyz
     if name == "fap":
-        f = resolve_allocation(specs, params.get("f", "auto"))
         if engine == "ctmc":
             return FapQueuePolicy(f)
         return FapRoundRobinPolicy(f, params.get("quantum", default_quantum(specs)))
-    if name == "policyz":
-        f = resolve_allocation(specs, params.get("f", "auto"))
-        table = zindex.build_table(specs, f, params.get("l_max", zindex.DEFAULT_LMAX))
-        if engine == "ctmc":
-            return ZQueuePolicy(table)
-        return ZTracePolicy(table)
-    raise ConfigError(f"unknown policy {name!r}")
-
-
-def _require_trace(name, engine):
-    if engine != "trace":
-        raise ConfigError(f"policy {name!r} needs the trace engine, got {engine!r}")
+    table = zindex.build_table(specs, f, params.get("l_max", zindex.DEFAULT_LMAX))
+    if engine == "ctmc":
+        return ZQueuePolicy(table)
+    return ZTracePolicy(table)
 
 
 def _check_knowledge(knowledge) -> None:

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 
 from . import allocation, dp, policies, sim, zindex
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .streams import StreamSpec, WorkloadSpec, sample_trace
 
 TABLE1_PERIOD = 350.0
@@ -81,10 +81,8 @@ def robust_workload(slack: float, intensity: float, seed: int = 0,
     (deadline = slack * sampled execution) is applied as a trace transform
     by the campaign runner when requested.
     """
-    if not (intensity > 0):
-        raise ConfigError(f"intensity must be > 0, got {intensity}")
-    if not (slack > 1):
-        raise ConfigError(f"slack must be > 1, got {slack}")
+    require_finite("intensity", intensity, above=0.0)
+    require_finite("slack", slack, above=1.0)
     rate = intensity / sum(ROBUST_MEAN_EXECS)
     streams = tuple(StreamSpec(i, rate, e, slack * e, e)
                     for i, e in enumerate(ROBUST_MEAN_EXECS))
@@ -95,8 +93,7 @@ def redf_workload(model: str, intensity: float, seed: int = 0,
                   horizon: float = REDF_HORIZON) -> WorkloadSpec:
     if model not in REDF_REWARDS:
         raise ConfigError(f"unknown reward model {model!r} (random|linear)")
-    if not (intensity > 0):
-        raise ConfigError(f"intensity must be > 0, got {intensity}")
+    require_finite("intensity", intensity, above=0.0)
     rate = intensity / sum(REDF_MEAN_EXECS)
     rewards = REDF_REWARDS[model]
     streams = tuple(StreamSpec(i, rate, e, d, v) for i, (e, d, v) in

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_int
 from .streams import StreamSpec
 
 #: Relative tail tolerance at which the normalizing series is truncated.
@@ -73,8 +73,7 @@ def _pi0_cached(r: float, a: float, d: float) -> float:
 
 def stationary(p: QueueParams, l: int) -> float:
     """Stationary probability of queue length ``l``."""
-    if l < 0:
-        raise ConfigError(f"queue length must be >= 0, got {l}")
+    require_int("queue length", l, 0)
     weight = 1.0
     for m in range(1, l + 1):
         weight *= p.arrival_rate / (p.aggregate_service + m * p.deadline_rate)

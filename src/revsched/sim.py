@@ -28,18 +28,20 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, attrgetter
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError
-from .streams import Job
+from .errors import ConfigError, InvariantError, NumericalError, require_int
+from .streams import Job, require_budget
 
 #: Simultaneous events are processed expiry < completion < arrival.
 _COMPLETION_EPS = 1e-9
+#: Most replications one ``replicate`` call may run.
+MAX_REPLICATIONS = 10**4
 
 
 @dataclass
@@ -105,7 +107,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetrics:
-    """Simulate the joint queue-length chain under a queue-length policy."""
+    """Simulate the joint queue-length chain under a queue-length policy; a run
+    expecting more than ``streams.MAX_TRACE_JOBS`` arrivals is a ConfigError."""
     if not (0 <= horizon < math.inf):  # an infinite horizon never ends
         raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
     n = len(specs)
@@ -114,6 +117,7 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     mean_execs = [s.mean_exec for s in specs]
     rewards = [s.reward for s in specs]
     arr_total = sum(arr_rates)
+    require_budget(horizon * arr_total, "jobs")
     policy.bind(specs)
     rng = random.Random(seed)
     expovariate, uniform = rng.expovariate, rng.random
@@ -329,7 +333,6 @@ class ReplicationSummary:
     ci95_lo: float
     ci95_hi: float
     mean_epu: float | None
-    runs: list[SimMetrics] = field(repr=False, default_factory=list)
 
 
 def summarize(runs: list[SimMetrics]) -> ReplicationSummary:
@@ -338,19 +341,23 @@ def summarize(runs: list[SimMetrics]) -> ReplicationSummary:
     rates = [m.revenue_rate for m in runs]
     n = len(rates)
     mean = sum(rates) / n
-    var = sum((x - mean) ** 2 for x in rates) / (n - 1)
+    try:
+        var = sum((x - mean) ** 2 for x in rates) / (n - 1)
+    except OverflowError as exc:  # float ** raises where * would give inf
+        raise NumericalError(f"the variance of the revenue rates {rates} overflows") from exc
     std = math.sqrt(var)
     half = 1.96 * std / math.sqrt(n)
     epus = [m.epu for m in runs]
     mean_epu = None if any(e is None for e in epus) else sum(epus) / n
-    return ReplicationSummary(n, mean, std, mean - half, mean + half, mean_epu, runs)
+    return ReplicationSummary(n, mean, std, mean - half, mean + half, mean_epu)
 
 
 def replicate(run_one, n_reps: int, base_seed: int) -> ReplicationSummary:
     """Run ``run_one(seed)`` for ``n_reps`` deterministically derived seeds.
 
     Using the same ``base_seed`` for two different policies pairs their
-    replications on common random numbers.
+    replications on common random numbers. At most ``MAX_REPLICATIONS``.
     """
+    require_int("replications", n_reps, 2, MAX_REPLICATIONS + 1)
     runs = [run_one(derive_seed(base_seed, k)) for k in range(n_reps)]
     return summarize(runs)

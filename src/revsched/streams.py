@@ -16,18 +16,16 @@ variates are drawn by inverse CDF, ``-mean * log1p(-u)``.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, fields, require_finite, require_int
 
-#: Most jobs a sampled trace may expect (``horizon * sum of arrival rates``);
-#: the campaigns sample about 16k per trace.
+#: Most jobs (or round-robin cycles) one simulated run may expect; the
+#: campaigns sample about 16k jobs per trace.
 MAX_TRACE_JOBS = 10**7
 
 # Substream kinds for the per-stream RNGs.
@@ -47,22 +45,15 @@ class StreamSpec:
     reward: float
 
     def __post_init__(self):
-        if isinstance(self.id, bool) or not isinstance(self.id, numbers.Integral):
-            raise ConfigError(f"stream id must be an integer, got {self.id!r}")
-        if self.id < 0:
-            raise ConfigError(f"stream id must be >= 0, got {self.id}")
-        for name in ("arrival_rate", "mean_exec", "mean_deadline", "reward"):
-            val = getattr(self, name)
-            require_finite(f"stream {self.id}: {name}", val)
-            if not (val > 0):
-                raise ConfigError(f"stream {self.id}: {name} must be > 0, got {val}")
+        require_int("stream id", self.id, 0)
+        for name in ("arrival_rate", "mean_exec", "mean_deadline", "reward",
+                     "service_rate", "deadline_rate"):  # 1 / a subnormal mean is inf
+            require_finite(f"stream {self.id}: {name}", getattr(self, name), above=0.0)
 
     @classmethod
     def from_period(cls, id, period, mean_exec, mean_deadline, reward):
         """Alternative constructor taking the mean inter-arrival time."""
-        require_finite(f"stream {id}: period", period)
-        if not (period > 0):
-            raise ConfigError(f"stream {id}: period must be > 0, got {period}")
+        require_finite(f"stream {id}: period", period, above=0.0)
         return cls(id, 1.0 / period, mean_exec, mean_deadline, reward)
 
     @property
@@ -88,13 +79,8 @@ class WorkloadSpec:
         ids = [s.id for s in self.streams]
         if ids != list(range(len(ids))):
             raise ConfigError(f"stream ids must be 0..n-1 without gaps, got {ids}")
-        require_finite("horizon", self.horizon)
-        if not (self.horizon > 0):
-            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        require_finite("horizon", self.horizon, above=0.0)
+        require_int("seed", self.seed, 0, 2**64)
 
     def with_seed(self, seed: int) -> "WorkloadSpec":
         return replace(self, seed=seed)
@@ -138,6 +124,12 @@ def _exponential(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
     return -mean * np.log1p(-rng.random(n))
 
 
+def require_budget(expected: float, what: str) -> None:
+    """ConfigError if a run expects more than ``MAX_TRACE_JOBS`` of ``what``."""
+    if expected > MAX_TRACE_JOBS:
+        raise ConfigError(f"run expects {expected:.3g} {what}; the budget is {MAX_TRACE_JOBS}")
+
+
 def sample_trace(spec: WorkloadSpec) -> list[Job]:
     """Sample the merged, arrival-ordered job trace of a workload.
 
@@ -146,10 +138,7 @@ def sample_trace(spec: WorkloadSpec) -> list[Job]:
     expects more than ``MAX_TRACE_JOBS`` jobs is a ConfigError, raised
     before anything is drawn.
     """
-    expected = spec.horizon * sum(s.arrival_rate for s in spec.streams)
-    if expected > MAX_TRACE_JOBS:
-        raise ConfigError(f"workload expects {expected:.3g} jobs per trace, "
-                          f"more than the budget of {MAX_TRACE_JOBS}")
+    require_budget(spec.horizon * sum(s.arrival_rate for s in spec.streams), "jobs")
     jobs: list[Job] = []
     for s in spec.streams:
         gap_rng = _substream(spec.seed, s.id, _KIND_GAP)
@@ -183,44 +172,32 @@ def workload_from_dict(data: dict) -> WorkloadSpec:
     """Build a WorkloadSpec from the JSON file schema.
 
     Schema: ``{"streams": [{"rate"|"P": ..., "mean_exec": ...,
-    "mean_deadline": ..., "value": ...}], "horizon": ..., "seed": ...}``.
-    Exactly one of ``rate`` / ``P`` (mean inter-arrival) per stream.
+    "mean_deadline": ..., "value": ...}], "horizon": ..., "seed": ...}``, with
+    exactly one of ``rate`` / ``P`` (mean inter-arrival) per stream and no other key.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"workload must be a JSON object, got {type(data).__name__}")
-    try:
-        raw_streams = data["streams"]
-        horizon = data["horizon"]
-        seed = data["seed"]
-    except KeyError as exc:
-        raise ConfigError(f"workload file missing key: {exc}") from exc
+    fields(data, "workload", ("streams", "horizon", "seed"))
+    raw_streams = data["streams"]
     if not isinstance(raw_streams, list):
         raise ConfigError(f"'streams' must be a list, got {type(raw_streams).__name__}")
     streams = []
     for i, raw in enumerate(raw_streams):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"stream {i} must be a JSON object, got {type(raw).__name__}")
+        fields(raw, f"stream {i}", ("mean_exec", "mean_deadline", "value"), ("rate", "P"))
         has_rate = "rate" in raw
-        has_period = "P" in raw
-        if has_rate == has_period:
+        if has_rate == ("P" in raw):
             raise ConfigError(f"stream {i}: give exactly one of 'rate' or 'P'")
         make = StreamSpec if has_rate else StreamSpec.from_period
-        try:
-            streams.append(make(i, raw["rate" if has_rate else "P"], raw["mean_exec"],
-                                raw["mean_deadline"], raw["value"]))
-        except KeyError as exc:
-            raise ConfigError(f"stream {i} missing key: {exc}") from exc
-    return WorkloadSpec(tuple(streams), horizon, seed)
+        streams.append(make(i, raw["rate" if has_rate else "P"], raw["mean_exec"],
+                            raw["mean_deadline"], raw["value"]))
+    return WorkloadSpec(tuple(streams), data["horizon"], data["seed"])
 
 
 def load_json(path, what: str):
-    """Parse the JSON file ``path``; a missing or malformed file is a ConfigError."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
+    """Parse the JSON file ``path``; an unreadable or malformed file is a ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:  # missing, a directory, no permission
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 

@@ -13,28 +13,29 @@ independent cross-check of the first.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from .allocation import AllocationVector
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_int
 from .queueing import QueueParams, pi0
 from .streams import StreamSpec
 
 DEFAULT_LMAX = 1024
+#: Largest table length; building a row costs one ``pi0`` series per entry.
+MAX_LMAX = 10**5
 _MONOTONE_SLACK = 1e-9
 
 
 def priority(s: StreamSpec, f_i: float, l: int) -> float:
     """Priority index of stream ``s`` with share ``f_i`` at queue length ``l``."""
-    if l < 1:
-        raise ConfigError(f"queue length must be >= 1, got {l}")
+    require_int("queue length", l, 1)
     return _priority_row(s, f_i, l, l)[0]
 
 
 def _priority_row(s: StreamSpec, f_i: float, first: int, last: int) -> list[float]:
     """Indices of stream ``s`` at queue lengths ``first..last``, with the
-    per-stream constants computed once."""
+    per-stream constants computed once. A base empty probability (the row's
+    smallest) that underflows to 0.0 leaves the index undefined: NumericalError."""
     if not (0.0 <= f_i <= 1.0):
         raise ConfigError(f"fraction must be in [0, 1], got {f_i}")
     r = s.arrival_rate
@@ -42,6 +43,8 @@ def _priority_row(s: StreamSpec, f_i: float, first: int, last: int) -> list[floa
     d = s.deadline_rate
     peak = s.reward * s.service_rate
     base = QueueParams(r, sf, d)
+    if pi0(base) == 0.0:
+        raise NumericalError(f"stream {s.id}: empty probability underflows (r/d {r / d:.3g})")
     row = []
     for l in range(first, last + 1):
         shifted = sf + l * d
@@ -55,8 +58,7 @@ def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
     The drop is the expected revenue lost per service by pulling one job
     out of queue ``l``.
     """
-    if l < 1:
-        raise ConfigError(f"queue length must be >= 1, got {l}")
+    require_int("queue length", l, 1)
     sf = s.service_rate * f_i
     d = s.deadline_rate
     pi0_base = pi0(QueueParams(s.arrival_rate, sf, d))
@@ -109,10 +111,7 @@ def build_table(specs, f: AllocationVector, l_max: int = DEFAULT_LMAX) -> Priori
     A non-monotone column would indicate a numerical fault (the index is
     provably nondecreasing in the queue length) and raises.
     """
-    if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral):
-        raise ConfigError(f"l_max must be an integer, got {l_max!r}")
-    if l_max < 1:
-        raise ConfigError(f"l_max must be >= 1, got {l_max}")
+    require_int("l_max", l_max, 1, MAX_LMAX + 1)
     if len(f) != len(specs):
         raise ConfigError(f"allocation has {len(f)} entries for {len(specs)} streams")
     rows = []

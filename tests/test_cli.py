@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, CSV determinism."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from revsched import presets, sim
+from revsched import presets, sim, streams, zindex
 from revsched.cli import main
 
 from helpers import BoundedRandom, parse_report
@@ -294,3 +297,179 @@ def test_run_config_paths_must_be_strings(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1 and "Traceback" not in err
     assert err.startswith("error:") and key in err
+
+
+def _assert_exit(rc, capsys, code=1, prefix="error:"):
+    err = capsys.readouterr().err
+    assert rc == code and "Traceback" not in err
+    assert err.startswith(prefix)
+    return err
+
+
+@pytest.mark.parametrize("change", [
+    {"replication": 3},
+    {"policy": {"name": "policyz", "lmax": 4}},
+    {"policy": {"name": "edf", "knowledge": "mean"}},
+    {"workload": {**_WORKLOAD, "horizn": 10}},
+    {"workload": {**_WORKLOAD, "streams": [
+        {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0, "reward": 2}]}},
+])
+def test_unknown_keys_rejected(change, tmp_path, capsys):
+    # each used to be ignored: a mistyped key ran with the default instead
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": "fap"}, "replications": 2, **change})
+    assert "unknown keys" in _assert_exit(main(["simulate", config]), capsys)
+
+
+def test_policy_name_must_be_a_string(tmp_path, capsys):
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": ["fap"]}, "replications": 2})
+    assert "unknown policy" in _assert_exit(main(["simulate", config]), capsys)
+
+
+def test_ctmc_job_budget(tmp_path, capsys, monkeypatch):
+    # 2e10 expected events used to keep the CTMC engine busy for hours
+    monkeypatch.setattr(sim.random, "Random", BoundedRandom)
+    config = write_json(tmp_path / "run.json", {
+        "workload": {**_WORKLOAD, "horizon": 2e4, "streams": [
+            {"P": 1e-6, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0}] * 2},
+        "policy": {"name": "fap", "f": [0.5, 0.5]}, "replications": 2})
+    assert "budget" in _assert_exit(main(["simulate", config]), capsys)
+
+
+def test_round_robin_cycle_budget(tmp_path, capsys):
+    # a 1e-12 quantum used to advance the clock by about 5e-13 per slot
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": "fap", "f": [0.5, 0.5], "quantum": 1e-12},
+        "engine": "trace", "replications": 2})
+    assert "budget" in _assert_exit(main(["simulate", config]), capsys)
+
+
+def test_replications_ceiling(tmp_path, capsys):
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": "edf"},
+        "replications": sim.MAX_REPLICATIONS + 1})
+    assert "replications" in _assert_exit(main(["simulate", config]), capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ztable", "--lmax", str(zindex.MAX_LMAX + 1)],
+    ["sdp", "--cap", "1001"],
+    ["fap", "--tol", "3e-17"],
+])
+def test_work_sizing_flags_are_bounded(argv, e1_workload, capsys):
+    # each used to hang, or to end in a numpy memory-error traceback
+    _assert_exit(main([argv[0], e1_workload, *argv[1:]]), capsys)
+
+
+@pytest.mark.parametrize("argv", [["ztable"], ["simulate"]])
+def test_underflowing_empty_probability_is_a_numerical_failure(argv, tmp_path, capsys):
+    # r/d = 1000: pi0 underflows to 0.0, and the index used to divide 0 by 0
+    workload = {"streams": [
+        {"P": 1, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0},
+        {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0}],
+        "horizon": 2000, "seed": 0}
+    path = write_json(tmp_path / "wl.json", workload)
+    if argv == ["simulate"]:
+        path = write_json(tmp_path / "run.json", {
+            "workload": workload, "policy": {"name": "policyz"}, "replications": 2})
+    err = _assert_exit(main([*argv, path]), capsys, code=2, prefix="numerical failure:")
+    assert "stream 0" in err
+
+
+def test_overflowing_revenue_variance_is_a_numerical_failure(tmp_path, capsys):
+    # a revenue rate near 1e297 used to end in an OverflowError traceback
+    # when summarize squared its deviation from the mean
+    config = write_json(tmp_path / "run.json", {
+        "workload": {**_WORKLOAD, "streams": [
+            {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1e300}] * 2},
+        "policy": {"name": "fap", "f": [0.5, 0.5]}, "replications": 2})
+    err = _assert_exit(main(["simulate", config]), capsys, code=2, prefix="numerical failure:")
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize("key,path", [
+    ("workload_file", "."), ("out", "."), ("out", "missing/x.csv")])
+def test_unusable_paths_rejected(key, path, tmp_path, capsys, monkeypatch):
+    # each used to end in an IsADirectoryError or FileNotFoundError traceback
+    monkeypatch.chdir(tmp_path)
+    config = write_json(tmp_path / "run.json", {
+        "workload": _WORKLOAD, "policy": {"name": "edf"}, "replications": 2, key: path})
+    assert path in _assert_exit(main(["simulate", config]), capsys)
+
+
+# fuzzing: one value of a small valid run config replaced by an arbitrary JSON
+# value, or one unknown key added to one of its objects
+
+_FUZZ_POLICIES = (
+    ({"name": "fap", "f": [0.6, 0.4], "quantum": 50.0}, "trace"),
+    ({"name": "fap", "f": "auto"}, "ctmc"),
+    ({"name": "policyz", "f": None, "l_max": 8}, "ctmc"),
+    ({"name": "policyz", "f": [0.5, 0.5], "l_max": 8}, "trace"),
+    ({"name": "robust", "slack": 2.0, "knowledge": "mean"}, "trace"),
+    ({"name": "redf", "knowledge": "exact"}, "trace"),
+    ({"name": "edf"}, "trace"),
+)
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=6))
+# scalars, and extreme numbers among them, often enough that the bounds on the
+# work get exercised: st.recursive alone draws mostly lists and objects
+_json_values = st.one_of(
+    st.sampled_from([0, -1, 1, 5e-324, 1e-12, 1e9, 1e300, 2**64, float("inf")]),
+    _json_scalars,
+    st.recursive(_json_scalars, lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=6), children, max_size=3)), max_leaves=4))
+
+
+def _fuzz_config(policy, engine):
+    return {"workload": {"streams": [
+        {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0},
+        {"rate": 0.002, "mean_exec": 400, "mean_deadline": 800, "value": 2.0}],
+        "horizon": 3000.0, "seed": 0},
+        "workload_file": None, "horizon": 2500.0, "seed": 1, "engine": engine,
+        "policy": copy.deepcopy(policy), "replications": 2, "label": "fuzz", "out": None}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_run_config_exits_cleanly(data, tmp_path, capsys, monkeypatch):
+    # every accepted example stays tiny: at most 1000 jobs or round-robin
+    # cycles per run, 4 replications and 64 table rows; the bounded RNG turns
+    # a CTMC run that would not end into a failure instead of a hang
+    monkeypatch.setattr(streams, "MAX_TRACE_JOBS", 1000)
+    monkeypatch.setattr(sim, "MAX_REPLICATIONS", 4)
+    monkeypatch.setattr(zindex, "MAX_LMAX", 64)
+    monkeypatch.setattr(sim.random, "Random", BoundedRandom)
+    monkeypatch.chdir(tmp_path)  # a fuzzed "out" writes here
+    config = _fuzz_config(*data.draw(st.sampled_from(_FUZZ_POLICIES)))
+    value = data.draw(_json_values)
+    if data.draw(st.sampled_from(("replace",) * 3 + ("add",))) == "replace":
+        path = data.draw(st.sampled_from(list(_paths(config))))
+        if path:
+            _at(config, path[:-1])[path[-1]] = value
+        else:
+            config = value
+    else:
+        objects = [p for p in _paths(config) if isinstance(_at(config, p), dict)]
+        _at(config, data.draw(st.sampled_from(objects)))[data.draw(st.text(max_size=6))] = value
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    rc = main(["simulate", str(tmp_path / "run.json")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -183,6 +183,17 @@ def test_stream_fields_must_be_finite_numbers(field, value):
         StreamSpec(**fields)
 
 
+@pytest.mark.parametrize("field,rate", [("mean_exec", "service_rate"),
+                                        ("mean_deadline", "deadline_rate")])
+def test_stream_rates_must_be_finite(field, rate):
+    # 1 / 5e-324 is inf, and inf times a zero share is NaN, on which the
+    # index's pi0 series used to run a million terms before failing
+    fields = {"id": 0, "arrival_rate": 0.01, "mean_exec": 100.0,
+              "mean_deadline": 500.0, "reward": 1.0, field: 5e-324}
+    with pytest.raises(ConfigError, match=f"{rate} must be a finite number"):
+        StreamSpec(**fields)
+
+
 @pytest.mark.parametrize("stream_id", [0.0, "0", True, None])
 def test_stream_id_must_be_an_integer(stream_id):
     with pytest.raises(ConfigError, match="stream id must be an integer"):
