@@ -10,7 +10,7 @@ simulation engines with a replication harness.
 from .allocation import AllocationVector, FapResult, optimize
 from .errors import ConfigError, InvariantError, NumericalError, RevschedError
 from .queueing import QueueParams, pi0, stationary, stream_revenue, total_revenue
-from .sim import ReplicationSummary, SimMetrics, replicate, run_ctmc, run_trace
+from .sim import ReplicationSummary, SimMetrics, Trace, replicate, run_ctmc, run_trace
 from .streams import (Job, StreamSpec, WorkloadSpec, is_overloaded, load_workload,
                       sample_trace, utilization)
 from .zindex import PriorityTable, build_table, priority
@@ -19,7 +19,7 @@ __all__ = [
     "AllocationVector", "FapResult", "optimize",
     "ConfigError", "InvariantError", "NumericalError", "RevschedError",
     "QueueParams", "pi0", "stationary", "stream_revenue", "total_revenue",
-    "ReplicationSummary", "SimMetrics", "replicate", "run_ctmc", "run_trace",
+    "ReplicationSummary", "SimMetrics", "Trace", "replicate", "run_ctmc", "run_trace",
     "Job", "StreamSpec", "WorkloadSpec", "is_overloaded", "load_workload",
     "sample_trace", "utilization",
     "PriorityTable", "build_table", "priority",

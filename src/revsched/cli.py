@@ -111,8 +111,11 @@ def cmd_simulate(args) -> int:
     policy = policies.make_policy(name, params, workload.streams, engine)
     if isinstance(policy, policies.FapRoundRobinPolicy):
         require_budget(workload.horizon / policy.quantum, "round-robin cycles")
-    run = presets.run_ctmc_policy if engine == "ctmc" else presets.run_trace_policy
-    summary = run(workload, policy, config.get("replications", 20))  # sim.replicate checks it
+    reps = config.get("replications", 20)  # sim.replicate checks it
+    if engine == "ctmc":
+        summary = presets.run_ctmc_policy(workload, policy, reps)
+    else:
+        summary = presets.run_trace_policy(workload, {name: policy}, reps)[name]
     rows = [presets.summary_row(config.get("label", "run"), name, summary)]
     _write_output(presets.report_text(rows), config.get("out") or args.out)
     return 0

@@ -50,6 +50,9 @@ MAX_CAP = 1000
 #: Largest share-0 tail mass at or beyond a sized cap.
 CAP_TAIL_TOL = 1e-12
 DEFAULT_TOL = 1e-8
+#: Smallest ``solve`` tolerance. The sweeps' span stalls at float round-off,
+#: so a far smaller one runs all ``MAX_ITERS`` sweeps before failing.
+MIN_TOL = 1e-12
 #: Hard cap on sweeps; exceeding it signals a numerical fault.
 MAX_ITERS = 10**6
 
@@ -134,7 +137,9 @@ def tail_mass(stream: StreamSpec, share: float, cap: int) -> float:
 
 def solve(model: SdpModel, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Relative value iteration on the uniformized chain."""
-    require_finite("tol", tol, above=0.0)
+    require_finite("tol", tol)
+    if tol < MIN_TOL:
+        raise ConfigError(f"tol must be >= {MIN_TOL:g}, got {tol}")
     s1, s2 = model.stream1, model.stream2
     L = model.cap
     n = L + 1

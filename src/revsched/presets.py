@@ -111,20 +111,29 @@ def run_ctmc_policy(workload: WorkloadSpec, policy: sim.QueuePolicy,
         reps, workload.seed)
 
 
-def run_trace_policy(workload: WorkloadSpec, policy: sim.TracePolicy, reps: int,
-                     deadline_rule: str = "exponential",
-                     slack: float | None = None) -> sim.ReplicationSummary:
+def run_trace_policy(workload: WorkloadSpec, named_policies: dict[str, sim.TracePolicy],
+                     reps: int, deadline_rule: str = "exponential",
+                     slack: float | None = None) -> dict[str, sim.ReplicationSummary]:
+    """Each policy's summary over ``reps`` replications on common random numbers.
+
+    A replication samples its trace once, applies the deadline rule, checks
+    and presorts it into one ``sim.Trace`` and replays that under every
+    policy in turn. The trace is freed when the replication returns, before
+    the next one is sampled.
+    """
     if deadline_rule not in ("exponential", "proportional"):
         raise ConfigError(f"unknown deadline rule {deadline_rule!r}")
     if deadline_rule == "proportional" and slack is None:
         raise ConfigError("proportional deadline rule needs a slack factor")
 
     def run_one(seed):
-        trace = sample_trace(workload.with_seed(seed))
+        jobs = sample_trace(workload.with_seed(seed))
         if deadline_rule == "proportional":
-            for job in trace:
+            for job in jobs:
                 job.deadline_abs = job.arrival + slack * job.exec_total
-        return sim.run_trace(workload.streams, trace, policy, workload.horizon)
+        trace = sim.Trace(jobs)
+        return {name: sim.run_trace(workload.streams, trace, policy, workload.horizon)
+                for name, policy in named_policies.items()}
 
     return sim.replicate(run_one, reps, workload.seed)
 
@@ -216,11 +225,11 @@ def run_robust_experiment(slack: float, intensity: float, seed: int = 0,
     specs = list(workload.streams)
     f_star = allocation.optimize(specs).f_star
     table = zindex.build_table(workload.streams, f_star)
-    summaries = {"policyz": run_trace_policy(
-        workload, policies.ZTracePolicy(table), reps, deadline_rule, slack)}
-    for mode in ("exact", "mean"):
-        summaries[f"robust_{mode}"] = run_trace_policy(
-            workload, policies.RobustPolicy(slack, mode), reps, deadline_rule, slack)
+    summaries = run_trace_policy(workload, {
+        "policyz": policies.ZTracePolicy(table),
+        "robust_exact": policies.RobustPolicy(slack, "exact"),
+        "robust_mean": policies.RobustPolicy(slack, "mean"),
+    }, reps, deadline_rule, slack)
     return PairedTraceOutcome(f"robust_s{slack:g}_i{intensity:g}", summaries)
 
 
@@ -231,10 +240,8 @@ def run_redf_experiment(model: str, intensity: float, seed: int = 0,
     specs = list(workload.streams)
     f_star = allocation.optimize(specs).f_star
     table = zindex.build_table(workload.streams, f_star)
-    summaries = {
-        "policyz": run_trace_policy(workload, policies.ZTracePolicy(table), reps),
-        "redf": run_trace_policy(workload, policies.RedfPolicy(), reps),
-    }
+    summaries = run_trace_policy(workload, {"policyz": policies.ZTracePolicy(table),
+                                            "redf": policies.RedfPolicy()}, reps)
     return PairedTraceOutcome(f"redf_{model}_i{intensity:g}", summaries)
 
 

@@ -12,11 +12,13 @@ and revenue are summed from the hits when the run ends. This relies on
 ``QueuePolicy.service_rates`` being a pure function of the queue lengths.
 The trace engine replays a sampled job list job-by-job and supports every
 policy, including ones that inspect individual deadlines and execution
-times. It holds no deadline heap: before the loop it sorts the whole trace
-by deadline once (stably, so ties stay in arrival order) and walks that
-list with one pointer, stepping over jobs that completed before their
-deadline came up. It refuses a trace with a non-finite arrival, deadline or
-execution time, or with more execution left than a job's total.
+times. It holds no deadline heap: a ``Trace`` sorts the whole job list by
+deadline once (stably, so ties stay in arrival order), and the engine walks
+that list with one pointer, stepping over jobs that completed before their
+deadline came up. A ``Trace`` refuses a job list with a non-finite arrival,
+deadline or execution time, or with more execution left than a job's total.
+It is built once and can be replayed under any number of policies: each run
+first restores every job's remaining execution.
 
 Both engines expose the same metrics record and both let the deadline
 clock of every queued job keep running while it is in service: a running
@@ -202,7 +204,8 @@ class TracePolicy:
     heap), and only a job that ``choose`` returned can complete. Expiries
     due at ``now`` come before the completion at ``now``, which REDF's
     resurrection relies on. ``has_runnable`` is asked only when ``choose``
-    returns None.
+    returns None. A policy never writes to a job: the next policy replays
+    the same ``Trace``.
     """
 
     def bind(self, specs) -> None:
@@ -229,28 +232,57 @@ class TracePolicy:
         pass
 
 
-def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> SimMetrics:
-    """Replay a job trace under a trace policy up to the horizon."""
+class Trace:
+    """An arrival-ordered job list, checked and presorted once for replay.
+
+    Holds the arrival times, the jobs in expiry order (a stable sort by
+    deadline, so ties keep arrival order) with their deadlines, and each
+    job's starting ``exec_remaining``. ``run_trace`` restores every job's
+    ``exec_remaining`` from here before it runs, so a replay under another
+    policy is a run on a fresh copy of the jobs. Only the engine may change
+    the jobs afterwards.
+    """
+
+    __slots__ = ("jobs", "arrival_times", "exp_jobs", "exp_times", "exec_remaining")
+
+    def __init__(self, jobs: list[Job]):
+        inf = math.inf
+        last = -inf
+        for job in jobs:
+            # chained so that a NaN or infinite field fails the test
+            if not (-inf < job.arrival < job.deadline_abs < inf
+                    and 0 <= job.exec_remaining <= job.exec_total < inf
+                    and job.exec_total > 0):
+                raise ConfigError(f"malformed job in trace: {job}")
+            if job.arrival < last:
+                raise ConfigError("trace is not sorted by arrival time")
+            last = job.arrival
+        self.jobs = jobs
+        self.arrival_times = [job.arrival for job in jobs]
+        self.arrival_times.append(inf)  # sentinel: no arrival after the last job
+        self.exp_jobs = sorted(jobs, key=attrgetter("deadline_abs"))
+        self.exp_times = [job.deadline_abs for job in self.exp_jobs]
+        self.exp_times.append(inf)  # sentinel: no expiry after the last deadline
+        self.exec_remaining = [job.exec_remaining for job in jobs]
+
+
+def run_trace(specs, trace: Trace | list[Job], policy: TracePolicy,
+              horizon: float) -> SimMetrics:
+    """Replay a job trace under a trace policy up to the horizon.
+
+    A plain job list is wrapped in a ``Trace`` (and so checked) first.
+    """
     if not (0 <= horizon < math.inf):  # the arrival sentinel needs a finite horizon
         raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
+    if not isinstance(trace, Trace):
+        trace = Trace(trace)
+    jobs, arrival_times = trace.jobs, trace.arrival_times
+    exp_jobs, exp_times = trace.exp_jobs, trace.exp_times
+    # the only job field a run reads before writing it; ``_live`` is set on
+    # arrival and read only for jobs that have arrived in this run
+    for job, exec_remaining in zip(jobs, trace.exec_remaining):
+        job.exec_remaining = exec_remaining
     n = len(specs)
-    inf = math.inf
-    last = -inf
-    for job in trace:
-        # chained so that a NaN or infinite field fails the test
-        if not (-inf < job.arrival < job.deadline_abs < inf
-                and 0 <= job.exec_remaining <= job.exec_total < inf
-                and job.exec_total > 0):
-            raise ConfigError(f"malformed job in trace: {job}")
-        if job.arrival < last:
-            raise ConfigError("trace is not sorted by arrival time")
-        last = job.arrival
-    arrival_times = [job.arrival for job in trace]
-    arrival_times.append(inf)  # sentinel: no arrival after the last job
-    # every job in expiry order; the sort is stable, so ties keep arrival order
-    exp_jobs = sorted(trace, key=attrgetter("deadline_abs"))
-    exp_times = [job.deadline_abs for job in exp_jobs]
-    exp_times.append(inf)  # sentinel: no expiry after the last deadline
     policy.bind(specs)
     choose, next_timer, has_runnable = policy.choose, policy.next_timer, policy.has_runnable
     on_arrival, on_expiry, on_completion = (policy.on_arrival, policy.on_expiry,
@@ -261,7 +293,7 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
     revenue = [0.0] * n
     busy_time = 0.0
     useful_time = 0.0
-    idx = 0  # trace[:idx] have arrived
+    idx = 0  # jobs[:idx] have arrived
     e = 0  # exp_jobs[:e] have expired or completed
     now = 0.0
     while True:
@@ -309,7 +341,7 @@ def run_trace(specs, trace: list[Job], policy: TracePolicy, horizon: float) -> S
             useful_time += running.exec_total
             on_completion(running, now)
         while arrival_times[idx] <= now:
-            job = trace[idx]
+            job = jobs[idx]
             idx += 1
             job._live = True
             arrivals[job.stream] += 1
@@ -341,6 +373,8 @@ def summarize(runs: list[SimMetrics]) -> ReplicationSummary:
     rates = [m.revenue_rate for m in runs]
     n = len(rates)
     mean = sum(rates) / n
+    if not math.isfinite(mean):  # a reward so large that the revenue overflows
+        raise NumericalError(f"the mean of the revenue rates {rates} is not finite")
     try:
         var = sum((x - mean) ** 2 for x in rates) / (n - 1)
     except OverflowError as exc:  # float ** raises where * would give inf
@@ -352,12 +386,17 @@ def summarize(runs: list[SimMetrics]) -> ReplicationSummary:
     return ReplicationSummary(n, mean, std, mean - half, mean + half, mean_epu)
 
 
-def replicate(run_one, n_reps: int, base_seed: int) -> ReplicationSummary:
+def replicate(run_one, n_reps: int, base_seed: int):
     """Run ``run_one(seed)`` for ``n_reps`` deterministically derived seeds.
 
-    Using the same ``base_seed`` for two different policies pairs their
-    replications on common random numbers. At most ``MAX_REPLICATIONS``.
+    ``run_one`` returns one run's ``SimMetrics``, and the result is their
+    ``ReplicationSummary``; or it returns a dict of them by policy name, and
+    the result is a dict of summaries with the same keys. Using the same
+    ``base_seed`` for two different policies pairs their replications on
+    common random numbers. At most ``MAX_REPLICATIONS``.
     """
     require_int("replications", n_reps, 2, MAX_REPLICATIONS + 1)
     runs = [run_one(derive_seed(base_seed, k)) for k in range(n_reps)]
+    if isinstance(runs[0], dict):
+        return {name: summarize([run[name] for run in runs]) for name in runs[0]}
     return summarize(runs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from revsched import presets, sim, streams, zindex
+from revsched import dp, presets, sim, streams, zindex
 from revsched.cli import main
 
 from helpers import BoundedRandom, parse_report
@@ -356,6 +356,7 @@ def test_replications_ceiling(tmp_path, capsys):
     ["ztable", "--lmax", str(zindex.MAX_LMAX + 1)],
     ["sdp", "--cap", "1001"],
     ["fap", "--tol", "3e-17"],
+    ["sdp", "--tol", "1e-300"],
 ])
 def test_work_sizing_flags_are_bounded(argv, e1_workload, capsys):
     # each used to hang, or to end in a numpy memory-error traceback
@@ -386,6 +387,18 @@ def test_overflowing_revenue_variance_is_a_numerical_failure(tmp_path, capsys):
         "policy": {"name": "fap", "f": [0.5, 0.5]}, "replications": 2})
     err = _assert_exit(main(["simulate", config]), capsys, code=2, prefix="numerical failure:")
     assert "overflows" in err
+
+
+def test_overflowing_revenue_is_a_numerical_failure(tmp_path, capsys):
+    # the revenue sums overflow to inf, and the run used to exit 0 and print
+    # inf for the mean and nan for the spread and the interval
+    config = write_json(tmp_path / "run.json", {
+        "workload": {**_WORKLOAD, "streams": [
+            {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1e308},
+            {"P": 350, "mean_exec": 600, "mean_deadline": 1000, "value": 1.0}]},
+        "policy": {"name": "policyz"}, "replications": 2})
+    err = _assert_exit(main(["simulate", config]), capsys, code=2, prefix="numerical failure:")
+    assert "not finite" in err
 
 
 @pytest.mark.parametrize("key,path", [
@@ -471,5 +484,61 @@ def test_fuzzed_run_config_exits_cleanly(data, tmp_path, capsys, monkeypatch):
         _at(config, data.draw(st.sampled_from(objects)))[data.draw(st.text(max_size=6))] = value
     (tmp_path / "run.json").write_text(json.dumps(config))
     rc = main(["simulate", str(tmp_path / "run.json")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# fuzzing the work-sizing flags: each value is a special string, any float
+# or integer, arbitrary text, or a small valid value. Sizes that would do
+# real work are drawn only up to cap 40 and l_max 200 (plus values past
+# MAX_CAP and MAX_LMAX), so that the test stays fast;
+# test_work_sizing_flags_are_bounded covers the large valid sizes
+
+_ANY_VALUE = (
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "0", "-0", "-1", "0.0", "5e-324",
+                     "2.2e-308", "1e-300", "1e-13", "1e-12", "1e999", "-1e999", "1e-3",
+                     "1e3", "40", "41", "1001", "100001", "abc", "", " ", "1_0", "0x10"])
+    | st.floats().map(repr)
+    | st.integers().map(str)
+    | st.text(max_size=8))
+
+#: (subcommand, flag) -> ((the fuzzer's size limit, the largest valid size),
+#: or None for a tolerance; small valid values drawn beside arbitrary ones)
+_FLAGS = {
+    ("fap", "--tol"): (None, st.floats(1e-13, 0.2)),
+    ("ztable", "--lmax"): ((200, zindex.MAX_LMAX), st.integers(-2, 200)),
+    ("sdp", "--cap"): ((40, dp.MAX_CAP), st.integers(-2, 40)),
+    ("sdp", "--tol"): (None, st.floats(1e-13, 1.0)),
+}
+
+
+def _small_enough(sizes, text):
+    """False for a size that is valid but above the fuzzer's limit."""
+    if sizes is None:
+        return True
+    try:
+        size = int(text)
+    except ValueError:
+        return True  # argparse refuses it
+    return not sizes[0] < size <= sizes[1]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_flags_exit_cleanly(data, e1_workload, capsys):
+    command, flags = data.draw(st.sampled_from([
+        ("fap", ("--tol",)), ("ztable", ("--lmax",)), ("sdp", ("--cap",)),
+        ("sdp", ("--tol",)), ("sdp", ("--cap", "--tol"))]))
+    argv = [command, e1_workload]
+    for flag in flags:
+        sizes, valid = _FLAGS[command, flag]
+        value = data.draw(_ANY_VALUE.filter(lambda v: _small_enough(sizes, v))
+                          | valid.map(str))
+        argv.append(f"{flag}={value}")  # = keeps a value such as "-1" off the flag list
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses a value that does not parse
+        rc = exc.code
     assert rc in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err

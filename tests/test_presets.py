@@ -9,13 +9,19 @@ was taken before the options and branches that no caller used were removed
 from them. The table1 digests without the oracle pin the CTMC engine on one
 row of every deadline class (E6, E9, E12, E15); they were taken before the
 engine started caching each visited state's rates.
+
+The trace campaigns sample each replication's trace once and replay it
+under every policy of the point; the last tests count those calls and
+watch each trace freed before the next is sampled.
 """
 
 import hashlib
+import weakref
 
 import pytest
 
-from revsched import presets
+from revsched import presets, sim
+from revsched.policies import EdfPolicy, RedfPolicy, RobustPolicy
 
 
 def _digest(rows):
@@ -65,3 +71,49 @@ def test_redf_campaign_csv_is_pinned():
 def test_table1_campaign_csv_is_pinned(eid, digest):
     outcome = presets.run_table1_experiment(eid, seed=0, reps=2)
     assert _digest(presets.table1_rows(outcome)) == digest
+
+
+def _paired_policies():
+    return {"edf": EdfPolicy(), "robust": RobustPolicy(4.0), "redf": RedfPolicy()}
+
+
+def test_one_sample_per_replication_and_one_run_per_policy(monkeypatch):
+    calls = []
+    sample, run = presets.sample_trace, sim.run_trace
+
+    def counted_sample(spec):
+        calls.append("sample")
+        return sample(spec)
+
+    def counted_run(specs, trace, policy, horizon):
+        calls.append(names[id(policy)])
+        return run(specs, trace, policy, horizon)
+
+    monkeypatch.setattr(presets, "sample_trace", counted_sample)
+    monkeypatch.setattr(sim, "run_trace", counted_run)
+    named = _paired_policies()
+    names = {id(policy): name for name, policy in named.items()}
+    workload = presets.robust_workload(4.0, 3.0, seed=0, horizon=2e4)
+    summaries = presets.run_trace_policy(workload, named, 3, "proportional", 4.0)
+    assert list(summaries) == ["edf", "robust", "redf"]
+    assert calls == ["sample", "edf", "robust", "redf"] * 3
+
+
+class _Jobs(list):
+    """A job list that a weak reference can watch."""
+
+
+def test_each_trace_is_freed_before_the_next_is_sampled(monkeypatch):
+    sample = presets.sample_trace
+    sampled = []
+
+    def watched_sample(spec):
+        assert [ref() for ref in sampled] == [None] * len(sampled)
+        jobs = _Jobs(sample(spec))
+        sampled.append(weakref.ref(jobs))
+        return jobs
+
+    monkeypatch.setattr(presets, "sample_trace", watched_sample)
+    workload = presets.robust_workload(4.0, 3.0, seed=0, horizon=2e4)
+    presets.run_trace_policy(workload, _paired_policies(), 3)
+    assert len(sampled) == 3 and [ref() for ref in sampled] == [None] * 3

@@ -1,6 +1,7 @@
 """Engine behavior on hand-built traces and cross-engine consistency."""
 
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,8 @@ from revsched import sim
 from revsched.allocation import AllocationVector
 from revsched.dp import SdpModel, SdpQueuePolicy, solve
 from revsched.errors import ConfigError, InvariantError
-from revsched.policies import EdfPolicy, FapQueuePolicy, RedfPolicy, ZQueuePolicy
+from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy, RedfPolicy,
+                               RobustPolicy, ZQueuePolicy, ZTracePolicy)
 from revsched.sim import (SimMetrics, TracePolicy, derive_seed, replicate, run_ctmc,
                           run_trace, summarize)
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
@@ -279,6 +281,53 @@ def test_summarize_needs_two_runs():
     m = run_trace(SPEC1, trace, EdfPolicy(), 1000.0)
     with pytest.raises(ConfigError):
         summarize([m])
+
+
+# one Trace replayed under several policies: the engine restores every job
+# before each run, so each replay must equal a run on a fresh copy
+
+_REPLAY_SPECS = [StreamSpec(i, 0.05, 8.0, 20.0, r) for i, r in enumerate((1.0, 2.5, 1.5))]
+_REPLAY_F = AllocationVector((0.5, 0.3, 0.2))
+_REPLAY_TABLE = build_table(_REPLAY_SPECS, _REPLAY_F, 16)
+_REPLAY_POLICIES = {
+    "edf": EdfPolicy,
+    "redf_mean": lambda: RedfPolicy("mean"),
+    "redf_exact": lambda: RedfPolicy("exact"),
+    "robust_exact": lambda: RobustPolicy(2.0, "exact"),
+    "robust_mean": lambda: RobustPolicy(3.0, "mean"),
+    "policyz": lambda: ZTracePolicy(_REPLAY_TABLE),
+    "fap": lambda: FapRoundRobinPolicy(_REPLAY_F, 2.0),
+}
+# (stream, arrival, execution, relative deadline); whole numbers, so
+# arrivals, deadlines and completions tie often
+_replay_job = st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(1, 12),
+                        st.integers(1, 40))
+
+
+@given(raw=st.lists(_replay_job, max_size=40),
+       order=st.lists(st.sampled_from(sorted(_REPLAY_POLICIES)), min_size=1, max_size=5),
+       horizon=st.sampled_from([0.0, 30.0, 200.0]))
+@settings(max_examples=150, deadline=None)
+def test_replayed_trace_matches_a_run_on_fresh_jobs(raw, order, horizon):
+    jobs = sorted((job(i, float(a), float(e), float(a + d), _REPLAY_SPECS[i].reward)
+                   for i, a, e, d in raw), key=attrgetter("arrival"))
+    trace = sim.Trace(jobs)
+    policies = {name: make() for name, make in _REPLAY_POLICIES.items()}
+    for name in order:
+        want = run_trace(_REPLAY_SPECS, [fresh_copy(j) for j in jobs],
+                         _REPLAY_POLICIES[name](), horizon)
+        for _ in range(2):  # twice in a row, then the next policy
+            assert run_trace(_REPLAY_SPECS, trace, policies[name], horizon) == want
+
+
+def test_replay_restores_the_sampled_remaining_work():
+    # the short job has 2 of its 4 units left; EDF runs the long job until
+    # it expires at 30, then the short one, which must finish at 32 each time
+    trace = sim.Trace([Job(0, 0.0, 4.0, 2.0, 100.0, 1.0), job(0, 0.0, 50.0, 30.0)])
+    for _ in range(2):
+        m = run_trace(SPEC1, trace, EdfPolicy(), 1000.0)
+        assert m.completions == m.expirations == [1]
+        assert (m.busy_time, m.useful_time) == (32.0, 4.0)
 
 
 def test_unsorted_trace_rejected():
