@@ -111,7 +111,7 @@ def cmd_simulate(args) -> int:
     policy = policies.make_policy(name, params, workload.streams, engine)
     if isinstance(policy, policies.FapRoundRobinPolicy):
         require_budget(workload.horizon / policy.quantum, "round-robin cycles")
-    reps = config.get("replications", 20)  # sim.replicate checks it
+    reps = config.get("replications", 20)  # sim.run_replications checks it
     if engine == "ctmc":
         summary = presets.run_ctmc_policy(workload, policy, reps)
     else:

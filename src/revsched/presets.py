@@ -135,7 +135,8 @@ def run_trace_policy(workload: WorkloadSpec, named_policies: dict[str, sim.Trace
         return {name: sim.run_trace(workload.streams, trace, policy, workload.horizon)
                 for name, policy in named_policies.items()}
 
-    return sim.replicate(run_one, reps, workload.seed)
+    runs = sim.run_replications(run_one, reps, workload.seed)
+    return {name: sim.summarize([run[name] for run in runs]) for name in named_policies}
 
 
 def improvement_pct(new: float, base: float) -> float:

@@ -16,9 +16,9 @@ times. It holds no deadline heap: a ``Trace`` sorts the whole job list by
 deadline once (stably, so ties stay in arrival order), and the engine walks
 that list with one pointer, stepping over jobs that completed before their
 deadline came up. A ``Trace`` refuses a job list with a non-finite arrival,
-deadline or execution time, or with more execution left than a job's total.
-It is built once and can be replayed under any number of policies: each run
-first restores every job's remaining execution.
+deadline or execution time, or with a job already partly served. It is
+built once and can be replayed under any number of policies: each run first
+restores every job's remaining execution to its total.
 
 Both engines expose the same metrics record and both let the deadline
 clock of every queued job keep running while it is in service: a running
@@ -42,7 +42,7 @@ from .streams import Job, require_budget
 
 #: Simultaneous events are processed expiry < completion < arrival.
 _COMPLETION_EPS = 1e-9
-#: Most replications one ``replicate`` call may run.
+#: Most replications one ``run_replications`` call may run.
 MAX_REPLICATIONS = 10**4
 
 
@@ -233,17 +233,17 @@ class TracePolicy:
 
 
 class Trace:
-    """An arrival-ordered job list, checked and presorted once for replay.
+    """An arrival-ordered list of unserved jobs, checked and presorted once.
 
-    Holds the arrival times, the jobs in expiry order (a stable sort by
-    deadline, so ties keep arrival order) with their deadlines, and each
-    job's starting ``exec_remaining``. ``run_trace`` restores every job's
-    ``exec_remaining`` from here before it runs, so a replay under another
-    policy is a run on a fresh copy of the jobs. Only the engine may change
-    the jobs afterwards.
+    Holds the arrival times and the jobs in expiry order (a stable sort by
+    deadline, so ties keep arrival order) with their deadlines. A job must
+    arrive unserved (``exec_remaining == exec_total``): the engine credits
+    a completion its whole ``exec_total`` as useful work. ``run_trace``
+    restores every job's ``exec_remaining`` to its total before it runs, so
+    a replay under another policy is a run on a fresh copy of the jobs.
     """
 
-    __slots__ = ("jobs", "arrival_times", "exp_jobs", "exp_times", "exec_remaining")
+    __slots__ = ("jobs", "arrival_times", "exp_jobs", "exp_times")
 
     def __init__(self, jobs: list[Job]):
         inf = math.inf
@@ -251,8 +251,7 @@ class Trace:
         for job in jobs:
             # chained so that a NaN or infinite field fails the test
             if not (-inf < job.arrival < job.deadline_abs < inf
-                    and 0 <= job.exec_remaining <= job.exec_total < inf
-                    and job.exec_total > 0):
+                    and 0 < job.exec_remaining == job.exec_total < inf):
                 raise ConfigError(f"malformed job in trace: {job}")
             if job.arrival < last:
                 raise ConfigError("trace is not sorted by arrival time")
@@ -263,14 +262,14 @@ class Trace:
         self.exp_jobs = sorted(jobs, key=attrgetter("deadline_abs"))
         self.exp_times = [job.deadline_abs for job in self.exp_jobs]
         self.exp_times.append(inf)  # sentinel: no expiry after the last deadline
-        self.exec_remaining = [job.exec_remaining for job in jobs]
 
 
 def run_trace(specs, trace: Trace | list[Job], policy: TracePolicy,
               horizon: float) -> SimMetrics:
     """Replay a job trace under a trace policy up to the horizon.
 
-    A plain job list is wrapped in a ``Trace`` (and so checked) first.
+    A plain job list is wrapped in a ``Trace`` (and so checked) first; to
+    run one list more than once, replay its ``Trace``.
     """
     if not (0 <= horizon < math.inf):  # the arrival sentinel needs a finite horizon
         raise ConfigError(f"horizon must be finite and >= 0, got {horizon}")
@@ -280,8 +279,8 @@ def run_trace(specs, trace: Trace | list[Job], policy: TracePolicy,
     exp_jobs, exp_times = trace.exp_jobs, trace.exp_times
     # the only job field a run reads before writing it; ``_live`` is set on
     # arrival and read only for jobs that have arrived in this run
-    for job, exec_remaining in zip(jobs, trace.exec_remaining):
-        job.exec_remaining = exec_remaining
+    for job in jobs:
+        job.exec_remaining = job.exec_total
     n = len(specs)
     policy.bind(specs)
     choose, next_timer, has_runnable = policy.choose, policy.next_timer, policy.has_runnable
@@ -386,17 +385,16 @@ def summarize(runs: list[SimMetrics]) -> ReplicationSummary:
     return ReplicationSummary(n, mean, std, mean - half, mean + half, mean_epu)
 
 
-def replicate(run_one, n_reps: int, base_seed: int):
-    """Run ``run_one(seed)`` for ``n_reps`` deterministically derived seeds.
+def run_replications(run_one, n_reps: int, base_seed: int) -> list:
+    """``run_one(seed)`` for ``n_reps`` deterministically derived seeds.
 
-    ``run_one`` returns one run's ``SimMetrics``, and the result is their
-    ``ReplicationSummary``; or it returns a dict of them by policy name, and
-    the result is a dict of summaries with the same keys. Using the same
-    ``base_seed`` for two different policies pairs their replications on
-    common random numbers. At most ``MAX_REPLICATIONS``.
+    Using the same ``base_seed`` for two different policies pairs their
+    replications on common random numbers. At most ``MAX_REPLICATIONS``.
     """
     require_int("replications", n_reps, 2, MAX_REPLICATIONS + 1)
-    runs = [run_one(derive_seed(base_seed, k)) for k in range(n_reps)]
-    if isinstance(runs[0], dict):
-        return {name: summarize([run[name] for run in runs]) for name in runs[0]}
-    return summarize(runs)
+    return [run_one(derive_seed(base_seed, k)) for k in range(n_reps)]
+
+
+def replicate(run_one, n_reps: int, base_seed: int) -> ReplicationSummary:
+    """The summary of ``run_replications``, where ``run_one`` returns one run."""
+    return summarize(run_replications(run_one, n_reps, base_seed))

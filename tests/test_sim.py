@@ -320,14 +320,18 @@ def test_replayed_trace_matches_a_run_on_fresh_jobs(raw, order, horizon):
             assert run_trace(_REPLAY_SPECS, trace, policies[name], horizon) == want
 
 
-def test_replay_restores_the_sampled_remaining_work():
-    # the short job has 2 of its 4 units left; EDF runs the long job until
-    # it expires at 30, then the short one, which must finish at 32 each time
-    trace = sim.Trace([Job(0, 0.0, 4.0, 2.0, 100.0, 1.0), job(0, 0.0, 50.0, 30.0)])
+def test_replay_restores_the_full_work_and_a_served_list_is_refused():
+    # EDF runs the long job until it expires at 30, then the short one,
+    # which must finish at 34 on every replay of the same Trace
+    jobs = [job(0, 0.0, 4.0, 100.0), job(0, 0.0, 50.0, 30.0)]
+    trace = sim.Trace(jobs)
     for _ in range(2):
         m = run_trace(SPEC1, trace, EdfPolicy(), 1000.0)
         assert m.completions == m.expirations == [1]
-        assert (m.busy_time, m.useful_time) == (32.0, 4.0)
+        assert m.busy_time == 34.0
+    # the plain list now holds served jobs, so it is no fresh trace
+    with pytest.raises(ConfigError, match="malformed job"):
+        run_trace(SPEC1, jobs, EdfPolicy(), 1000.0)
 
 
 def test_unsorted_trace_rejected():
@@ -352,6 +356,15 @@ def test_job_with_more_work_left_than_total_rejected():
     # it would run for its remaining work but be credited only its total, so
     # useful_time would understate the processor's useful work
     bad = Job(0, 10.0, 5.0, 50.0, 200.0, 2.0)
+    with pytest.raises(ConfigError, match="malformed job"):
+        run_trace(SPEC1, [bad], EdfPolicy(), 1000.0)
+
+
+@pytest.mark.parametrize("exec_remaining", [2.0, 0.0])
+def test_partly_served_job_rejected(exec_remaining):
+    # it would run for its remaining work but be credited its whole total,
+    # so useful_time could exceed busy_time
+    bad = Job(0, 10.0, 5.0, exec_remaining, 200.0, 2.0)
     with pytest.raises(ConfigError, match="malformed job"):
         run_trace(SPEC1, [bad], EdfPolicy(), 1000.0)
 
