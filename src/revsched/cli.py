@@ -122,35 +122,42 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_ids(spec: str) -> list[int]:
+    """Ids from ``1,7,13`` or ``E1,E7,E13``; empty items are skipped, but at
+    least one id must remain."""
+    tokens = [tok.strip() for tok in spec.split(",")]
     try:
-        return [int(tok) for tok in spec.replace("E", "").split(",") if tok]
+        ids = [int(tok.removeprefix("E")) for tok in tokens if tok]
     except ValueError as exc:
         raise ConfigError(f"cannot parse experiment ids {spec!r}") from exc
+    if not ids:
+        raise ConfigError(f"experiment ids {spec!r} name no experiment")
+    return ids
 
 
 def cmd_experiment(args) -> int:
     rows: list[dict] = []
+    # an absent --reps takes each campaign's default; any given count,
+    # 0 included, goes to sim.run_replications' check
+    reps = {} if args.reps is None else {"reps": args.reps}
     if args.name == "table1":
-        ids = _parse_ids(args.ids) if args.ids else sorted(presets.TABLE1_ROWS)
+        ids = sorted(presets.TABLE1_ROWS) if args.ids is None else _parse_ids(args.ids)
         for eid in ids:
             outcome = presets.run_table1_experiment(
-                eid, seed=args.seed, reps=args.reps or 20, include_sdp=args.sdp)
+                eid, seed=args.seed, include_sdp=args.sdp, **reps)
             rows.extend(presets.table1_rows(outcome))
     elif args.name == "robust":
         for slack in args.slack:
             for intensity in args.intensity:
                 outcome = presets.run_robust_experiment(
                     slack, intensity, seed=args.seed,
-                    reps=args.reps or presets.ROBUST_REPS,
-                    deadline_rule=args.deadline_rule)
+                    deadline_rule=args.deadline_rule, **reps)
                 rows.extend(presets.paired_rows(
                     outcome, ("robust_exact", "robust_mean")))
     else:  # redf
         for model in ("random", "linear"):
             for intensity in args.intensity:
                 outcome = presets.run_redf_experiment(
-                    model, intensity, seed=args.seed,
-                    reps=args.reps or presets.REDF_REPS)
+                    model, intensity, seed=args.seed, **reps)
                 rows.extend(presets.paired_rows(outcome, ("redf",)))
     _write_output(presets.report_text(rows), args.out)
     return 0

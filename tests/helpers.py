@@ -39,6 +39,52 @@ def parse_report(text: str) -> list[dict]:
     return rows
 
 
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 and later compute it: exact ints, then floats
+    with Neumaier's compensation, folded in where the float run ends.
+
+    Older interpreters add floats left to right, so patching this in for
+    ``builtins.sum`` shows whether an output depends on the Python version.
+    Only exact ``int`` and ``float`` items take the fast paths, as in C.
+    """
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) is int or type(item) is bool:
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in it:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+                continue
+            if comp and math.isfinite(comp):
+                total += comp
+            result = total + item
+            break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in it:
+        result = result + item
+    return result
+
+
 def lookup(table, stream: int, l: int) -> float:
     """Index of ``stream`` at queue length ``l`` in a ``zindex.PriorityTable``.
 

@@ -299,6 +299,22 @@ def test_run_config_paths_must_be_strings(key, tmp_path, capsys):
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("name,extra", [
+    ("table1", ["--ids", "13"]), ("robust", []), ("redf", [])])
+def test_zero_replications_rejected(name, extra, capsys):
+    # `--reps 0` used to fall back to the campaign's default count
+    rc = main(["experiment", name, *extra, "--reps", "0"])
+    assert "replications" in _assert_exit(rc, capsys)
+
+
+@pytest.mark.parametrize("ids", ["", ",", ",,", "E"])
+def test_ids_naming_no_experiment_rejected(ids, capsys):
+    # these used to print a header-only CSV, or ("") run all 15 rows
+    rc = main(["experiment", "table1", "--ids", ids, "--reps", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err.startswith("error:")
+
+
 def _assert_exit(rc, capsys, code=1, prefix="error:"):
     err = capsys.readouterr().err
     assert rc == code and "Traceback" not in err

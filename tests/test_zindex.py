@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revsched import allocation, presets, zindex
+from revsched import allocation, presets, queueing, zindex
 from revsched.allocation import AllocationVector
 from revsched.errors import ConfigError
 from revsched.queueing import pi0
@@ -176,3 +176,40 @@ def test_build_table_calls_pi0_twice_per_entry(monkeypatch):
     monkeypatch.setattr(zindex, "pi0", counting_pi0)
     specs, table = make_table(l_max=64)
     assert len(calls) >= 2 * sum(len(row) for row in table.z) == 2 * 2 * 64
+
+
+def _pi0_misses():
+    return queueing._pi0_cached.cache_info().misses
+
+
+def test_pi0_memo_bound_holds_a_default_row_twice():
+    assert queueing.PI0_CACHE_SIZE >= 2 * zindex.DEFAULT_LMAX
+
+
+def test_pi0_memo_stays_within_its_bound_over_a_campaign():
+    # every table row used to stay in the memo for the life of the process
+    queueing._pi0_cached.cache_clear()
+    for slack in (2, 4):
+        for intensity in (1.5, 3):
+            specs = list(presets.robust_workload(slack, intensity).streams)
+            build_table(specs, allocation.optimize(specs).f_star)
+    assert _pi0_misses() > queueing.PI0_CACHE_SIZE
+    assert queueing._pi0_cached.cache_info().currsize <= queueing.PI0_CACHE_SIZE
+
+
+def test_identical_streams_compute_one_row():
+    # E1's two streams are identical and get equal shares
+    specs = list(presets.table1_workload(1).streams)
+    queueing._pi0_cached.cache_clear()
+    build_table(specs, AllocationVector((0.5, 0.5)))
+    assert _pi0_misses() == zindex.DEFAULT_LMAX + 1  # the first row and its base
+
+
+def test_cold_memo_builds_the_same_table():
+    specs = list(presets.robust_workload(4, 3).streams)
+    f = allocation.optimize(specs).f_star
+    warm = build_table(specs, f)
+    queueing._pi0_cached.cache_clear()
+    cold = build_table(specs, f)
+    assert _pi0_misses() == len(specs) * (zindex.DEFAULT_LMAX + 1)
+    assert cold == warm
