@@ -122,8 +122,9 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_ids(spec: str) -> list[int]:
-    """Ids from ``1,7,13`` or ``E1,E7,E13``; empty items are skipped, but at
-    least one id must remain."""
+    """Table1 ids from ``1,7,13`` or ``E1,E7,E13``; empty items are skipped,
+    but at least one id must remain, and every id is checked before any row
+    runs."""
     tokens = [tok.strip() for tok in spec.split(",")]
     try:
         ids = [int(tok.removeprefix("E")) for tok in tokens if tok]
@@ -131,6 +132,8 @@ def _parse_ids(spec: str) -> list[int]:
         raise ConfigError(f"cannot parse experiment ids {spec!r}") from exc
     if not ids:
         raise ConfigError(f"experiment ids {spec!r} name no experiment")
+    for eid in ids:
+        presets.table1_workload(eid)  # raises on an unknown id
     return ids
 
 

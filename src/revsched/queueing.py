@@ -11,15 +11,12 @@ All series are summed incrementally (each term is the previous one times a
 ratio), so no factorials or large powers are ever materialized.
 
 ``pi0`` memoizes its series in a least-recently-used cache of
-``PI0_CACHE_SIZE`` entries. The values read again are few and read soon:
-the allocation search revisits its own points within one ``optimize``, a
-priority-table row reads its base value once per entry, and a table whose
-streams are identical (E1) reads the first row's values again for the
-second. Every other key is read once, so table rows evict each other
-instead of piling up for the life of the process. The one case that gets
-slower: identical streams with rows of 2,048 entries or more (``ztable
---lmax``) recompute the second row, because the first row's values no
-longer fit.
+``PI0_CACHE_SIZE`` entries. It serves the allocation search, which
+revisits its own points within one ``optimize``, and each priority-table
+row's base value. The rest of a table row does not go through the memo:
+``pi0_many`` runs the same series for all of the row's service rates in
+one numpy pass, with the same float operations per entry, so every value
+equals what ``pi0`` returns.
 """
 
 from __future__ import annotations
@@ -28,6 +25,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConfigError, NumericalError, require_int
 from .streams import StreamSpec
 
@@ -35,11 +34,10 @@ from .streams import StreamSpec
 SERIES_TOL = 1e-14
 #: Hard cap on series terms; exceeding it signals a numerical fault.
 MAX_TERMS = 10**6
-#: Entries kept by the ``pi0`` memo: twice the default table length
-#: (``zindex.DEFAULT_LMAX``, 1,024), so that the keys read again fit (one
-#: ``optimize``'s revisits, the row bases, and a whole row that a second,
-#: identical stream reads again). Rows read once evict each other, and the
-#: memo stays near 0.5 MB instead of growing by a row per stream per table.
+#: Entries kept by the ``pi0`` memo. Its keys are one ``optimize``'s
+#: revisits and the table rows' bases; the rows themselves are computed by
+#: ``pi0_many`` and never enter it. At 2,048 entries the memo stays near
+#: 0.5 MB instead of growing with every allocation search of a campaign.
 PI0_CACHE_SIZE = 2048
 
 
@@ -86,6 +84,40 @@ def _pi0_cached(r: float, a: float, d: float) -> float:
             return 0.0
     raise NumericalError(
         f"pi0 series did not converge within {MAX_TERMS} terms (r={r}, a={a}, d={d})")
+
+
+def pi0_many(r: float, a_values, d: float) -> np.ndarray:
+    """``pi0`` for each service rate in ``a_values`` at arrival rate ``r`` and
+    deadline rate ``d``, equal bit for bit to one scalar call per entry.
+
+    Every entry takes ``_pi0_cached``'s operations in its order and stops at
+    its own term: converged entries leave the active set, an entry whose sum
+    overflows gives 0.0, and one still running after ``MAX_TERMS`` terms
+    raises NumericalError.
+    """
+    a = np.array(a_values, dtype=float)
+    out = np.empty_like(a)
+    if not a.size:
+        return out
+    QueueParams(r, float(a.min()), d)  # the scalar path's checks
+    active = np.arange(a.size)
+    total = np.ones_like(a)
+    term = np.ones_like(a)
+    with np.errstate(over="ignore"):  # an overflowing sum is the 0.0 case
+        for l in range(1, MAX_TERMS + 1):
+            ratio = r / (a + l * d)
+            term *= ratio
+            total += term
+            done = ((ratio < 1.0) & (term < SERIES_TOL * total)) | np.isinf(total)
+            if done.any():
+                out[active[done]] = 1.0 / total[done]  # 1.0 / inf is the 0.0
+                keep = ~done
+                if not keep.any():
+                    return out
+                active, a, term, total = active[keep], a[keep], term[keep], total[keep]
+    raise NumericalError(
+        f"pi0 series did not converge within {MAX_TERMS} terms "
+        f"(r={r}, a={a[0]}, d={d})")
 
 
 def stationary(p: QueueParams, l: int) -> float:

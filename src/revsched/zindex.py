@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .allocation import AllocationVector
 from .errors import ConfigError, NumericalError, require_int
-from .queueing import QueueParams, pi0
+from .queueing import QueueParams, pi0, pi0_many
 from .streams import StreamSpec
 
 DEFAULT_LMAX = 1024
-#: Largest table length; building a row costs one ``pi0`` series per entry.
+#: Largest table length; a row runs one ``pi0`` series per entry, all of
+#: them in one ``pi0_many`` pass (only the row's base goes through the memo).
 MAX_LMAX = 10**5
 _MONOTONE_SLACK = 1e-9
 
@@ -29,27 +32,26 @@ _MONOTONE_SLACK = 1e-9
 def priority(s: StreamSpec, f_i: float, l: int) -> float:
     """Priority index of stream ``s`` with share ``f_i`` at queue length ``l``."""
     require_int("queue length", l, 1)
-    return _priority_row(s, f_i, l, l)[0]
+    return float(_priority_row(s, f_i, l, l)[0])
 
 
-def _priority_row(s: StreamSpec, f_i: float, first: int, last: int) -> list[float]:
-    """Indices of stream ``s`` at queue lengths ``first..last``, with the
-    per-stream constants computed once. A base empty probability (the row's
-    smallest) that underflows to 0.0 leaves the index undefined: NumericalError."""
+def _priority_row(s: StreamSpec, f_i: float, first: int, last: int) -> np.ndarray:
+    """Indices of stream ``s`` at queue lengths ``first..last``: the base
+    empty probability from ``pi0``, every shifted one from a single
+    ``pi0_many`` pass, and each entry's float operations as in the scalar
+    formula. A base empty probability (the row's smallest) that underflows
+    to 0.0 leaves the index undefined: NumericalError."""
     if not (0.0 <= f_i <= 1.0):
         raise ConfigError(f"fraction must be in [0, 1], got {f_i}")
     r = s.arrival_rate
     sf = s.service_rate * f_i
     d = s.deadline_rate
     peak = s.reward * s.service_rate
-    base = QueueParams(r, sf, d)
-    if pi0(base) == 0.0:
+    base = pi0(QueueParams(r, sf, d))
+    if base == 0.0:
         raise NumericalError(f"stream {s.id}: empty probability underflows (r/d {r / d:.3g})")
-    row = []
-    for l in range(first, last + 1):
-        shifted = sf + l * d
-        row.append(peak * (1.0 - (sf * pi0(base)) / (shifted * pi0(QueueParams(r, shifted, d)))))
-    return row
+    shifted = sf + np.arange(first, last + 1) * d
+    return peak * (1.0 - (sf * base) / (shifted * pi0_many(r, shifted, d)))
 
 
 def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
@@ -119,11 +121,12 @@ def build_table(specs, f: AllocationVector, l_max: int = DEFAULT_LMAX) -> Priori
     for s, f_i in zip(specs, f.fractions):
         limit = s.reward * s.service_rate
         row = _priority_row(s, f_i, 1, l_max)
-        for l in range(1, len(row)):
-            if row[l] < row[l - 1] - _MONOTONE_SLACK * limit:
-                raise NumericalError(
-                    f"priority index of stream {s.id} decreased at l={l + 1}: "
-                    f"{row[l - 1]} -> {row[l]}")
-        rows.append(tuple(row))
+        drops = np.flatnonzero(row[1:] < row[:-1] - _MONOTONE_SLACK * limit)
+        if drops.size:
+            l = int(drops[0]) + 1
+            raise NumericalError(
+                f"priority index of stream {s.id} decreased at l={l + 1}: "
+                f"{row[l - 1]} -> {row[l]}")
+        rows.append(tuple(row.tolist()))
         limits.append(limit)
     return PriorityTable(tuple(rows), tuple(limits), f)

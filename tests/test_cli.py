@@ -315,6 +315,16 @@ def test_ids_naming_no_experiment_rejected(ids, capsys):
     assert rc == 1 and captured.out == "" and captured.err.startswith("error:")
 
 
+def test_unknown_id_rejected_before_any_row_runs(monkeypatch, capsys):
+    # `--ids 1,99` used to simulate E1 before failing on E99
+    rows_run = []
+    monkeypatch.setattr(presets, "run_table1_experiment",
+                        lambda eid, **kwargs: rows_run.append(eid))
+    rc = main(["experiment", "table1", "--ids", "1,99", "--reps", "2"])
+    assert "unknown experiment id E99" in _assert_exit(rc, capsys)
+    assert rows_run == []
+
+
 def _assert_exit(rc, capsys, code=1, prefix="error:"):
     err = capsys.readouterr().err
     assert rc == code and "Traceback" not in err

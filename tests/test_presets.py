@@ -8,7 +8,10 @@ allocation search, the priority table, the CTMC engine and the DP oracle; it
 was taken before the options and branches that no caller used were removed
 from them. The table1 digests without the oracle pin the CTMC engine on one
 row of every deadline class (E6, E9, E12, E15); they were taken before the
-engine started caching each visited state's rates.
+engine started caching each visited state's rates. The ``ztable``, ``fap``
+and ``simulate`` digests pin the CLI's other outputs; they were taken before
+table rows moved from one scalar ``pi0`` call per entry to one ``pi0_many``
+pass per row.
 
 Every digest is checked twice: under the interpreter's own ``sum`` and
 under ``helpers.compensated_sum``, the compensated float sum of CPython
@@ -22,11 +25,13 @@ watch each trace freed before the next is sampled.
 
 import builtins
 import hashlib
+import json
 import weakref
 
 import pytest
 
 from revsched import presets, sim
+from revsched.cli import main
 from revsched.policies import EdfPolicy, RedfPolicy, RobustPolicy
 
 from helpers import compensated_sum
@@ -101,6 +106,65 @@ def test_redf_campaign_csv_is_pinned(float_sum):
 def test_table1_campaign_csv_is_pinned(eid, digest, float_sum):
     outcome = presets.run_table1_experiment(eid, seed=0, reps=2)
     assert _digest(presets.table1_rows(outcome)) == digest
+
+
+def _workload_file(tmp_path, workload):
+    """``workload`` as a workload file; each stream keeps its exact rate."""
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({
+        "streams": [{"rate": s.arrival_rate, "mean_exec": s.mean_exec,
+                     "mean_deadline": s.mean_deadline, "value": s.reward}
+                    for s in workload.streams],
+        "horizon": workload.horizon, "seed": workload.seed}))
+    return str(path)
+
+
+def _cli_digest(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+_PIN_WORKLOADS = {"E7": presets.table1_workload(7),
+                  "robust-s4-i3": presets.robust_workload(4.0, 3.0)}
+
+
+@each_float_sum
+@pytest.mark.parametrize("workload,extra,digest", [
+    ("E7", ["--lmax", "5000"],
+     "2ced346fae6d6209624b440d3d6b474421c5c098b584f6d649fd433ea9dc6ee4"),
+    ("robust-s4-i3", [], "859e68567230004ac1f97a1a8f4eaa7f63306b4f3477a61d928d84244e348f5c"),
+], ids=["E7-lmax5000", "robust-s4-i3"])
+def test_ztable_csv_is_pinned(workload, extra, digest, tmp_path, float_sum):
+    path = _workload_file(tmp_path, _PIN_WORKLOADS[workload])
+    assert _cli_digest(tmp_path, ["ztable", path, *extra]) == digest
+
+
+@each_float_sum
+@pytest.mark.parametrize("workload,digest", [
+    ("E7", "c94cdd5b076e2f3c280ac546268f00d7256a4a8c52989fc88f3636b3d639820d"),
+    ("robust-s4-i3", "7d1f231c5ca622ef3157018c6d04574f7b6b2c3bfeb77b0cf653befc91dc1e21"),
+], ids=["E7", "robust-s4-i3"])
+def test_fap_csv_is_pinned(workload, digest, tmp_path, float_sum):
+    path = _workload_file(tmp_path, _PIN_WORKLOADS[workload])
+    assert _cli_digest(tmp_path, ["fap", path]) == digest
+
+
+@each_float_sum
+@pytest.mark.parametrize("policy,digest", [
+    ({"name": "policyz"}, "0b524bd32df47891e4ecb4d912550c81caa78afba7c1169af26cb5a0bf909d47"),
+    ({"name": "fap"}, "5b6f43a788b7efe15003a199db9744a69e765de84fcbf41bc0d20a515b8f71f1"),
+    ({"name": "robust", "slack": 4.0},
+     "90120d952c7b51a3e5a8a5dce52bc639d7e43fccfed0c5857597856e1570b7bc"),
+    ({"name": "redf"}, "4b5c968bd727ee8b216d2e6bd83dfa43f7aec1a38ef5ec0625a07963f15b0b28"),
+    ({"name": "edf"}, "47fa4d6b7051112406e45e1c2b687313611494d635eb37582d58477de3564beb"),
+], ids=["policyz", "fap", "robust", "redf", "edf"])
+def test_simulate_csv_is_pinned(policy, digest, tmp_path, float_sum):
+    workload = presets.robust_workload(4.0, 3.0, horizon=2e4)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"workload_file": _workload_file(tmp_path, workload),
+                                  "policy": policy, "replications": 2}))
+    assert _cli_digest(tmp_path, ["simulate", str(config)]) == digest
 
 
 def _paired_policies():

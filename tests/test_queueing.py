@@ -3,11 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revsched.errors import ConfigError
-from revsched.queueing import QueueParams, pi0, stationary, stream_revenue
+from revsched import queueing
+from revsched.errors import ConfigError, NumericalError
+from revsched.queueing import QueueParams, pi0, pi0_many, stationary, stream_revenue
 from revsched.streams import StreamSpec
 
 # Frozen oracles, computed once with mpmath at 60 significant digits by
@@ -94,6 +95,37 @@ def test_stationary_terms_are_probabilities(r, a, d, l):
     assert 0.0 <= value <= 1.0
 
 
+@given(r=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       a=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
+       d=st.floats(1e-3, 1.0))
+@example(r=0.0, a=[0.0, 1.0], d=0.5)
+@example(r=5.0, a=[0.0, 0.5, 5.0, 50.0], d=1e-3)  # r/d = 5000: the first sums overflow
+@settings(max_examples=200, deadline=None)
+def test_pi0_many_equals_scalar_pi0(r, a, d):
+    # the row pass must give the scalar series' floats, not close ones
+    assert pi0_many(r, a, d).tolist() == [pi0(QueueParams(r, x, d)) for x in a]
+
+
+def test_pi0_many_stops_each_entry_at_its_own_term():
+    # the first entry's sum overflows at term 161 (pi0 underflows to 0.0),
+    # the second converges at term 14 and the third at term 1,529
+    values = pi0_many(5.0, [0.0, 50.0, 4.0], 1e-3)
+    assert values[0] == 0.0 and values[1] > values[2] > 0.0
+    assert values.tolist() == [pi0(QueueParams(5.0, x, 1e-3)) for x in (0.0, 50.0, 4.0)]
+    assert pi0_many(5.0, [], 1e-3).size == 0
+
+
+def test_pi0_many_raises_when_an_entry_runs_out_of_terms(monkeypatch):
+    # the first entry converges at term 1, the second needs dozens of terms
+    monkeypatch.setattr(queueing, "MAX_TERMS", 3)
+    series = queueing._pi0_cached.__wrapped__  # past the memo
+    assert pi0_many(0.3, [1e14], 0.05).tolist() == [series(0.3, 1e14, 0.05)]
+    with pytest.raises(NumericalError):
+        series(0.3, 0.2, 0.05)
+    with pytest.raises(NumericalError):
+        pi0_many(0.3, [1e14, 0.2], 0.05)
+
+
 def test_invalid_params_rejected():
     with pytest.raises(ConfigError):
         QueueParams(-1.0, 0.1, 0.1)
@@ -101,3 +133,6 @@ def test_invalid_params_rejected():
         QueueParams(0.1, -0.1, 0.1)
     with pytest.raises(ConfigError):
         QueueParams(0.1, 0.1, 0.0)
+    for r, a, d in ((-1.0, 0.1, 0.1), (0.1, -0.1, 0.1), (0.1, 0.1, 0.0)):
+        with pytest.raises(ConfigError):
+            pi0_many(r, [0.5, a], d)
