@@ -111,11 +111,9 @@ def cmd_simulate(args) -> int:
     policy = policies.make_policy(name, params, workload.streams, engine)
     if isinstance(policy, policies.FapRoundRobinPolicy):
         require_budget(workload.horizon / policy.quantum, "round-robin cycles")
-    reps = config.get("replications", 20)  # sim.run_replications checks it
-    if engine == "ctmc":
-        summary = presets.run_ctmc_policy(workload, policy, reps)
-    else:
-        summary = presets.run_trace_policy(workload, {name: policy}, reps)[name]
+    reps = config.get("replications", 20)  # both runners check it, in sim.run_replications
+    run = presets.run_ctmc_policy if engine == "ctmc" else presets.run_trace_policy
+    summary = run(workload, {name: policy}, reps)[name]
     rows = [presets.summary_row(config.get("label", "run"), name, summary)]
     _write_output(presets.report_text(rows), config.get("out") or args.out)
     return 0
@@ -140,7 +138,7 @@ def _parse_ids(spec: str) -> list[int]:
 def cmd_experiment(args) -> int:
     rows: list[dict] = []
     # an absent --reps takes each campaign's default; any given count,
-    # 0 included, goes to sim.run_replications' check
+    # 0 included, goes to the runners' check, in sim.run_replications
     reps = {} if args.reps is None else {"reps": args.reps}
     if args.name == "table1":
         ids = sorted(presets.TABLE1_ROWS) if args.ids is None else _parse_ids(args.ids)

@@ -13,7 +13,7 @@ import heapq
 
 from . import allocation, zindex
 from .allocation import AllocationVector
-from .errors import ConfigError, fields, require_finite
+from .errors import ConfigError, InvariantError, fields, require_finite
 from .sim import QueuePolicy, TracePolicy
 from .streams import Job
 
@@ -292,7 +292,7 @@ class _PerStreamPolicy(TracePolicy):
                 if entry[3] is job:
                     break
             else:
-                raise ValueError(f"job not held by the policy: {job}")
+                raise InvariantError(f"job not held by the policy: {job}")
             del heap[k]
             heapq.heapify(heap)
         l = self.lengths[i] = self.lengths[i] - 1

@@ -60,12 +60,8 @@ class SimMetrics:
     still_pending: list[int]
 
     @property
-    def revenue_total(self) -> float:
-        return sum(self.revenue)
-
-    @property
     def revenue_rate(self) -> float:
-        return self.revenue_total / self.horizon if self.horizon > 0 else 0.0
+        return sum(self.revenue) / self.horizon if self.horizon > 0 else 0.0
 
     @property
     def epu(self) -> float | None:
@@ -215,7 +211,10 @@ class TracePolicy:
         self.pending.append(job)
 
     def on_completion(self, job: Job, now: float) -> None:
-        self.pending.remove(job)
+        try:
+            self.pending.remove(job)
+        except ValueError:
+            raise InvariantError(f"job not held by the policy: {job}") from None
 
     on_expiry = on_completion
 
@@ -395,6 +394,7 @@ def run_replications(run_one, n_reps: int, base_seed: int) -> list:
     return [run_one(derive_seed(base_seed, k)) for k in range(n_reps)]
 
 
-def replicate(run_one, n_reps: int, base_seed: int) -> ReplicationSummary:
-    """The summary of ``run_replications``, where ``run_one`` returns one run."""
-    return summarize(run_replications(run_one, n_reps, base_seed))
+def replicate(run_one, n_reps: int, base_seed: int) -> dict[str, ReplicationSummary]:
+    """Each policy's summary, where ``run_one(seed)`` returns ``{name: SimMetrics}``."""
+    runs = run_replications(run_one, n_reps, base_seed)
+    return {name: summarize([run[name] for run in runs]) for name in runs[0]}

@@ -52,7 +52,7 @@ def e1_sdp():
     s1, s2 = workload.streams
     sol_base = dp.solve(dp.SdpModel(s1, s2, cap=150))
     sol_doubled = dp.solve(dp.SdpModel(s1, s2, cap=300))
-    replay = presets.run_ctmc_policy(workload, dp.SdpQueuePolicy(sol_base), 20)
+    replay = presets.run_ctmc_policy(workload, {"sdp": dp.SdpQueuePolicy(sol_base)}, 20)["sdp"]
     return sol_base, sol_doubled, replay
 
 
@@ -133,7 +133,7 @@ def test_criterion_03_engine_matches_formula(capsys):
         workload = presets.table1_workload(eid, seed=0, horizon=1e6)
         result = allocation.optimize(list(workload.streams))
         summary = presets.run_ctmc_policy(
-            workload, policies.FapQueuePolicy(result.f_star), 20)
+            workload, {"fap": policies.FapQueuePolicy(result.f_star)}, 20)["fap"]
         inside = summary.ci95_lo <= result.v_star <= summary.ci95_hi
         close = abs(summary.mean_revenue_rate - result.v_star) <= 0.02 * result.v_star
         ok = ok and (inside or close)

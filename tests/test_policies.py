@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from revsched import presets
 from revsched.allocation import AllocationVector
 from revsched.dp import SdpModel, SdpQueuePolicy, solve
-from revsched.errors import ConfigError
+from revsched.errors import ConfigError, InvariantError
 from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy,
                                RedfPolicy, RobustPolicy, ZQueuePolicy,
                                ZTracePolicy, default_quantum, make_policy,
@@ -350,9 +350,9 @@ def test_per_stream_store_removes_a_job_that_is_not_the_head():
     policy.on_completion(d, 11.0)
     assert policy.lengths == [0, 0] and not policy.has_runnable()
     assert policy.choose(11.0) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         policy.on_expiry(a, 12.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         policy.on_completion(job(1, 0.0, 1.0, 5.0), 12.0)
 
 

@@ -19,7 +19,8 @@ under ``helpers.compensated_sum``, the compensated float sum of CPython
 the Python version.
 
 The trace campaigns sample each replication's trace once and replay it
-under every policy of the point; the last tests count those calls and
+under every policy of the point, and the CTMC runner runs every policy of
+the point at each replication's seed; the last tests count those calls and
 watch each trace freed before the next is sampled.
 """
 
@@ -30,9 +31,11 @@ import weakref
 
 import pytest
 
-from revsched import presets, sim
+from revsched import allocation, presets, sim
 from revsched.cli import main
-from revsched.policies import EdfPolicy, RedfPolicy, RobustPolicy
+from revsched.policies import (EdfPolicy, FapQueuePolicy, RedfPolicy, RobustPolicy,
+                               ZQueuePolicy)
+from revsched.zindex import build_table
 
 from helpers import compensated_sum
 
@@ -191,6 +194,28 @@ def test_one_sample_per_replication_and_one_run_per_policy(monkeypatch):
     summaries = presets.run_trace_policy(workload, named, 3, "proportional", 4.0)
     assert list(summaries) == ["edf", "robust", "redf"]
     assert calls == ["sample", "edf", "robust", "redf"] * 3
+
+
+def test_ctmc_runner_runs_every_policy_at_each_replication_seed(monkeypatch):
+    calls = []
+    run = sim.run_ctmc
+
+    def logged_run(specs, policy, horizon, seed):
+        calls.append((names[id(policy)], seed))
+        return run(specs, policy, horizon, seed)
+
+    monkeypatch.setattr(sim, "run_ctmc", logged_run)
+    workload = presets.table1_workload(7, seed=4, horizon=5e4)
+    f_star = allocation.optimize(list(workload.streams)).f_star
+    named = {"fap": FapQueuePolicy(f_star),
+             "policyz": ZQueuePolicy(build_table(workload.streams, f_star))}
+    names = {id(policy): name for name, policy in named.items()}
+    summaries = presets.run_ctmc_policy(workload, named, 3)
+    assert list(summaries) == ["fap", "policyz"]
+    assert calls == [(name, sim.derive_seed(4, k)) for k in range(3)
+                     for name in ("fap", "policyz")]
+    for name, policy in named.items():
+        assert presets.run_ctmc_policy(workload, {name: policy}, 3) == {name: summaries[name]}
 
 
 class _Jobs(list):

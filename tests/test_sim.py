@@ -231,9 +231,9 @@ def test_trace_policy_callbacks_need_a_pending_job():
     policy = EdfPolicy()
     policy.bind(SPEC1)
     stranger = job(0, 0.0, 1.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         policy.on_expiry(stranger, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         policy.on_completion(stranger, 1.0)
 
 
@@ -250,21 +250,26 @@ def test_engines_agree_on_single_stream_fap():
     # side must not peek at deadlines, hence FIFO rather than EDF)
     wl = WorkloadSpec((StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0),), 5e5, 0)
     policy = FapQueuePolicy(AllocationVector((1.0,)))
-    ctmc = replicate(lambda s: run_ctmc(wl.streams, policy, wl.horizon, s), 10, 0)
+    ctmc = replicate(lambda s: {"fap": run_ctmc(wl.streams, policy, wl.horizon, s)},
+                     10, 0)["fap"]
 
     def run_one(seed):
-        return run_trace(wl.streams, sample_trace(wl.with_seed(seed)),
-                         _FifoPolicy(), wl.horizon)
+        return {"fifo": run_trace(wl.streams, sample_trace(wl.with_seed(seed)),
+                                  _FifoPolicy(), wl.horizon)}
 
-    trace = replicate(run_one, 10, 0)
+    trace = replicate(run_one, 10, 0)["fifo"]
     assert ctmc.ci95_lo <= trace.ci95_hi and trace.ci95_lo <= ctmc.ci95_hi
 
 
 def test_replicate_is_deterministic():
     wl = WorkloadSpec((StreamSpec(0, 1 / 350, 600.0, 1000.0, 1.0),), 1e5, 0)
     policy = FapQueuePolicy(AllocationVector((1.0,)))
-    a = replicate(lambda s: run_ctmc(wl.streams, policy, wl.horizon, s), 5, 0)
-    b = replicate(lambda s: run_ctmc(wl.streams, policy, wl.horizon, s), 5, 0)
+
+    def run_one(seed):
+        return {"fap": run_ctmc(wl.streams, policy, wl.horizon, seed)}
+
+    a = replicate(run_one, 5, 0)["fap"]
+    b = replicate(run_one, 5, 0)["fap"]
     assert a.mean_revenue_rate == b.mean_revenue_rate
     assert a.std_revenue_rate == b.std_revenue_rate
 

@@ -194,8 +194,33 @@ def _pi0_misses():
     return queueing._pi0_cached.cache_info().misses
 
 
-def test_pi0_memo_bound_holds_a_default_row_twice():
-    assert queueing.PI0_CACHE_SIZE >= 2 * zindex.DEFAULT_LMAX
+def _preset_points():
+    points = {f"E{eid}": presets.table1_workload(eid) for eid in sorted(presets.TABLE1_ROWS)}
+    for intensity in presets.DEFAULT_INTENSITIES:
+        for slack in (2, 4):
+            points[f"robust-s{slack}-i{intensity:g}"] = presets.robust_workload(slack, intensity)
+        for model in ("random", "linear"):
+            points[f"redf-{model}-i{intensity:g}"] = presets.redf_workload(model, intensity)
+    return points
+
+
+@pytest.mark.parametrize("point", _preset_points().items(), ids=lambda item: item[0])
+def test_pi0_memo_holds_a_preset_point_without_eviction(point):
+    # what a campaign point asks of the memo: one allocation search's
+    # revisits and its table rows' bases
+    workload = point[1]
+
+    def analyse():
+        f_star = allocation.optimize(list(workload.streams)).f_star
+        build_table(workload.streams, f_star)
+
+    queueing._pi0_cached.cache_clear()
+    analyse()
+    cold = queueing._pi0_cached.cache_info()
+    assert cold.misses <= queueing.PI0_CACHE_SIZE
+    assert cold.currsize == cold.misses  # nothing evicted
+    analyse()
+    assert _pi0_misses() == cold.misses
 
 
 def test_build_table_adds_at_most_one_memo_entry_per_row():
