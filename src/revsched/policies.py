@@ -112,7 +112,10 @@ class RedfPolicy(EdfPolicy):
         self._enforce_feasible(now)
 
     def on_expiry(self, job, now):
-        (self.pending if job in self.pending else self.rejected).remove(job)
+        try:
+            (self.pending if job in self.pending else self.rejected).remove(job)
+        except ValueError:
+            raise InvariantError(f"job not held by the policy: {job}") from None
 
     def on_completion(self, job, now):
         super().on_completion(job, now)

@@ -115,7 +115,8 @@ def run_ctmc_reference(specs, policy, horizon: float, seed: int) -> SimMetrics:
     """``sim.run_ctmc`` without its per-state cache: every event asks the
     policy for its rates and rebuilds the walk, drawing the same random
     numbers in the same order. The reference the cached engine is tested
-    against."""
+    against. It draws each clock with ``rng.expovariate``, so the ``==``
+    tests against it also check the engine's inlined clock draw."""
     n = len(specs)
     arr_rates = [s.arrival_rate for s in specs]
     dl_rates = [s.deadline_rate for s in specs]

@@ -14,7 +14,7 @@ from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy,
                                remaining_estimate, resolve_allocation)
 from revsched.sim import run_trace
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
-from revsched.zindex import build_table
+from revsched.zindex import PriorityTable, build_table
 
 from helpers import (FapRoundRobinListPolicy, ZTraceListPolicy, fresh_copy, lookup,
                      run_trace_reference)
@@ -324,6 +324,24 @@ def test_ztrace_serves_selected_stream_earliest_deadline():
     chosen = policy.choose(1.0)
     assert chosen is b  # earliest deadline within the chosen stream
     assert policy.has_runnable()
+
+
+@given(rows=st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0]),
+                              min_size=2, max_size=2), min_size=3, max_size=3),
+       lengths=st.lists(st.integers(0, 3), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_ztrace_choose_picks_the_stream_select_picks(rows, lengths):
+    # tied ranks go to the lowest id; no rank at or below -1.0 ever wins
+    sp = [StreamSpec(i, 0.01, 10.0, 100.0, 1.0) for i in range(3)]
+    table = PriorityTable(tuple(map(tuple, rows)), (0.5, 1.0, 0.5),
+                          AllocationVector((0.2, 0.3, 0.5)))
+    policy = ZTracePolicy(table)
+    policy.bind(sp)
+    for i, l in enumerate(lengths):
+        for k in range(l):
+            policy.on_arrival(job(i, 0.0, 1.0, 10.0 + k), 0.0)
+    j = table.select(lengths)
+    assert policy.choose(0.0) is (None if j is None else policy.heaps[j][0][3])
 
 
 def test_ztrace_rejects_a_table_for_another_stream_count():

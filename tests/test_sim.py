@@ -1,8 +1,10 @@
 """Engine behavior on hand-built traces and cross-engine consistency."""
 
+import math
 import random
 from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -119,13 +121,19 @@ def test_ctmc_conservation_and_busy_bound():
 
 
 class _TopOfWalk(random.Random):
-    """Clock every event at dt = 1 and draw u = total, past every partial sum."""
+    """Alternate a clock draw, -log(1 - u) = 1 so that dt = 1 / total, with a
+    pick draw u = 1.0, so that u * total lies past every partial sum. The
+    engine and the reference both draw a clock, then a pick, per event."""
 
-    def expovariate(self, lambd):
-        return 1.0
+    _CLOCK = 1 - math.exp(-1)
+
+    def __init__(self, seed=None):
+        self._picks = False
+        super().__init__(seed)
 
     def random(self):
-        return 1.0
+        self._picks = not self._picks
+        return self._CLOCK if self._picks else 1.0
 
 
 def test_ctmc_round_off_falls_back_to_the_last_stream(monkeypatch):
@@ -201,8 +209,8 @@ def test_ctmc_round_off_fallback_through_a_cached_link(monkeypatch):
     specs = [StreamSpec(i, 0.5, 4.0, 8.0, 3.0) for i in range(2)]
     table = build_table(specs, AllocationVector((0.5, 0.5)), 16)
     cached, uncached = _Recording(table), _Recording(table)
-    m = run_ctmc(specs, cached, 100.5, seed=0)
-    assert m == run_ctmc_reference(specs, uncached, 100.5, seed=0)
+    m = run_ctmc(specs, cached, 87.0, seed=0)
+    assert m == run_ctmc_reference(specs, uncached, 87.0, seed=0)
     assert m.arrivals == m.completions == [0, 50] and m.revenue == [0.0, 150.0]
     assert cached.asked == [(0, 0), (0, 1)] and len(uncached.asked) == 101
 
@@ -227,6 +235,23 @@ def test_bad_ctmc_horizon_rejected(horizon, monkeypatch):
         run_ctmc(SPEC1, FapQueuePolicy(AllocationVector((1.0,))), horizon, seed=0)
 
 
+class _ConstantRates(sim.QueuePolicy):
+    def __init__(self, rate):
+        self.rate = rate
+
+    def service_rates(self, lengths):
+        return [self.rate] * len(lengths)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -1.0])
+def test_ctmc_refuses_a_total_rate_that_is_not_positive(rate, monkeypatch):
+    # each clock draw divides by the total rate; a NaN clock never reaches
+    # the horizon
+    monkeypatch.setattr(sim.random, "Random", BoundedRandom)  # fail, not hang
+    with pytest.raises(InvariantError, match="total rate"):
+        run_ctmc(SPEC1, _ConstantRates(rate), 1e5, seed=0)
+
+
 def test_trace_policy_callbacks_need_a_pending_job():
     policy = EdfPolicy()
     policy.bind(SPEC1)
@@ -235,6 +260,22 @@ def test_trace_policy_callbacks_need_a_pending_job():
         policy.on_expiry(stranger, 1.0)
     with pytest.raises(InvariantError):
         policy.on_completion(stranger, 1.0)
+
+
+def test_redf_expiry_needs_a_held_job():
+    # pending is searched first, then the reject queue; a job in neither is
+    # a broken callback contract
+    policy = RedfPolicy()
+    policy.bind(SPEC1)
+    queued, rejected = job(0, 0.0, 1.0, 10.0), job(0, 0.0, 1.0, 10.0)
+    policy.pending.append(queued)
+    policy.rejected.append(rejected)
+    policy.on_expiry(rejected, 1.0)
+    assert policy.pending == [queued] and policy.rejected == []
+    policy.on_expiry(queued, 1.0)
+    assert policy.pending == []
+    with pytest.raises(InvariantError):
+        policy.on_expiry(queued, 1.0)
 
 
 class _FifoPolicy(EdfPolicy):
@@ -279,6 +320,40 @@ def test_derive_seed_distinct_and_stable():
     assert len(set(seeds)) == 100
     assert seeds == [derive_seed(0, k) for k in range(100)]
     assert derive_seed(1, 0) != derive_seed(0, 0)
+
+
+def _numpy_seed(base_seed, index):
+    sequence = np.random.SeedSequence(base_seed, spawn_key=(index,))
+    return int(sequence.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 49, 2**32 + 5])
+def test_derive_seed_equals_numpy_seed_sequence(base_seed, index):
+    assert derive_seed(base_seed, index) == _numpy_seed(base_seed, index)
+
+
+@given(base_seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**40 - 1))
+@settings(max_examples=200, deadline=None)
+def test_derive_seed_equals_numpy_seed_sequence_on_any_seed(base_seed, index):
+    assert derive_seed(base_seed, index) == _numpy_seed(base_seed, index)
+
+
+@pytest.mark.parametrize("args, error", [((-1, 0), ValueError), ((0, -1), ValueError),
+                                         ((1.0, 0), TypeError), ((0, 2.5), TypeError),
+                                         (("1", 0), TypeError), ((None, 0), TypeError)])
+def test_derive_seed_refuses_a_negative_or_non_integer_argument(args, error):
+    with pytest.raises(error):
+        derive_seed(*args)
+
+
+@pytest.mark.parametrize("seed, lam", enumerate([1e-300, 1 / 350, 0.5, 1.0, 3.75, 1e6, 1e300]))
+def test_inlined_exponential_draw_equals_expovariate(seed, lam):
+    # run_ctmc draws each clock as -log(1 - u) / total, which must give the
+    # very floats of random.Random.expovariate from the same seed
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert [-math.log(1.0 - ours.random()) / lam for _ in range(20_000)] == \
+        [theirs.expovariate(lam) for _ in range(20_000)]
 
 
 def test_summarize_needs_two_runs():
