@@ -90,6 +90,9 @@ def cmd_simulate(args) -> int:
     for key in ("workload_file", "out"):
         if config.get(key) is not None and not isinstance(config[key], str):
             raise ConfigError(f"run config {key!r} must be a path string, got {config[key]!r}")
+    label = config.get("label", "run")  # the CSV's experiment column
+    if not isinstance(label, str):
+        raise ConfigError(f"run config 'label' must be a string, got {label!r}")
     if config.get("workload_file") is not None:
         workload = load_workload(config["workload_file"])
     elif "workload" in config:
@@ -114,7 +117,7 @@ def cmd_simulate(args) -> int:
     reps = config.get("replications", 20)  # both runners check it, in sim.run_replications
     run = presets.run_ctmc_policy if engine == "ctmc" else presets.run_trace_policy
     summary = run(workload, {name: policy}, reps)[name]
-    rows = [presets.summary_row(config.get("label", "run"), name, summary)]
+    rows = [presets.summary_row(label, name, summary)]
     _write_output(presets.report_text(rows), config.get("out") or args.out)
     return 0
 

@@ -10,9 +10,10 @@ time its transition is taken, so an event is a clock draw, a bisection of
 the walk, a hit and a step along the link. Arrivals, expiries, completions
 and revenue are summed from the hits when the run ends. This relies on
 ``QueuePolicy.service_rates`` being a pure function of the queue lengths.
-The CTMC engine draws every random number from ``random.Random`` and never
-loads ``numpy.random``: ``derive_seed`` is a pure-Python port of numpy's
-``SeedSequence`` seed derivation (see its docstring).
+The CTMC engine draws every random number from ``random.Random``, and
+``derive_seed`` derives replication seeds with ``rng.seed_state``, a
+pure-Python port of numpy's ``SeedSequence``; the trace engine's traces are
+drawn from ``rng.Pcg64``. No engine loads ``numpy.random``.
 The trace engine replays a sampled job list job-by-job and supports every
 policy, including ones that inspect individual deadlines and execution
 times. It holds no deadline heap: a ``Trace`` sorts the whole job list by
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from math import log
-from operator import add, attrgetter, index as as_index
+from operator import add, attrgetter
 
 from .errors import ConfigError, InvariantError, NumericalError, require_int
+from .rng import seed_state
 from .streams import Job, require_budget
 
 #: Simultaneous events are processed expiry < completion < arrival.
@@ -100,64 +102,16 @@ class QueuePolicy:
         raise NotImplementedError
 
 
-#: numpy's ``SeedSequence`` constants: pool words, hash and mix multipliers.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _words32(value) -> list[int]:
-    """A non-negative integer's 32-bit words, least significant first."""
-    value = as_index(value)  # TypeError for a float, a str or None
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
 def derive_seed(base_seed: int, index: int) -> int:
     """Deterministic child seed for replication ``index``.
 
     Equals ``numpy.random.SeedSequence(base_seed, spawn_key=(index,))
-    .generate_state(1, numpy.uint64)[0]``, computed with Python integers as
-    numpy's ``SeedSequence`` does (O'Neill's seed_seq design): the seed's
-    words padded to the pool of 4, then the index's words, hashed and mixed
-    into the pool, and two output words joined little-endian. A negative
-    argument is a ValueError and a non-integer one a TypeError, as in numpy.
-    The port keeps the CTMC engine off ``numpy.random``, whose first import
-    costs about 5 MB of RSS and 12 ms.
+    .generate_state(1, numpy.uint64)[0]``, computed by ``rng.seed_state``,
+    the pure-Python port of numpy's ``SeedSequence`` that also seeds the
+    trace substreams. A negative argument is a ValueError and a non-integer
+    one a TypeError, as in numpy.
     """
-    entropy = _words32(base_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + _words32(index)
-    hash_const = _INIT_A
-
-    def hashmix(value, mult=_MULT_A):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * mult & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # the output words take the same hash, from its own constants
-    hash_const = _INIT_B
-    low, high = [hashmix(word, _MULT_B) for word in pool[:2]]
-    return low | high << 32
+    return seed_state(base_seed, (index,))[0]
 
 
 def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetrics:

@@ -7,10 +7,12 @@ carries an exponentially distributed execution requirement (mean
 ``mean_deadline``), and a fixed per-completion reward.
 
 Sampling is reproducible: every (stream id, quantity kind) pair gets its
-own RNG substream derived from the workload seed via
-``numpy.random.SeedSequence(seed, spawn_key=(stream_id, kind))``, so adding
-or removing a stream never perturbs the samples of the others. Exponential
-variates are drawn by inverse CDF, ``-mean * log1p(-u)``.
+own RNG substream derived from the workload seed, so adding or removing a
+stream never perturbs the samples of the others. A substream is
+``rng.Pcg64(seed, (stream_id, kind))``: its uniform draws equal, bit for
+bit, those of numpy's ``default_rng(SeedSequence(seed, spawn_key=(stream_id,
+kind)))``, without loading ``numpy.random``. Exponential variates are drawn
+by inverse CDF, ``-mean * log1p(-u)``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ConfigError, fields, require_finite, require_int
+from .rng import Pcg64
 
 #: Most jobs (or round-robin cycles) one simulated run may expect; the
 #: campaigns sample about 16k jobs per trace.
@@ -115,11 +118,11 @@ def is_overloaded(spec: WorkloadSpec) -> bool:
     return utilization(spec) > 1.0
 
 
-def _substream(seed: int, stream_id: int, kind: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, kind)))
+def _substream(seed: int, stream_id: int, kind: int) -> Pcg64:
+    return Pcg64(seed, (stream_id, kind))
 
 
-def _exponential(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
+def _exponential(rng: Pcg64, mean: float, n: int) -> np.ndarray:
     # inverse CDF; log1p keeps precision for small u
     return -mean * np.log1p(-rng.random(n))
 

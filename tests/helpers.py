@@ -297,8 +297,9 @@ def solve_reference(model, tol: float = DEFAULT_TOL) -> SdpSolution:
 def sample_trace_reference(spec) -> list[Job]:
     """``streams.sample_trace`` as a per-job loop with a key sort: the same
     draws, each job built one at a time. The reference the vectorized
-    sampler is tested against. It draws through ``streams._exponential``, so
-    a test that patches the draws patches both samplers."""
+    sampler is tested against. It draws through ``streams._exponential`` and
+    ``streams._substream``, so a test that patches the draws patches both
+    samplers; ``test_streams`` checks the substreams against numpy's."""
     exponential, substream = streams._exponential, streams._substream
     jobs: list[Job] = []
     for s in spec.streams:

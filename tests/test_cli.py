@@ -260,10 +260,13 @@ _WORKLOAD = {"streams": [{"P": 350, "mean_exec": 600, "mean_deadline": 1000,
     {"policy": {"name": "policyz", "f": [0.5, 0.5], "l_max": 8.0}},
     {"policy": {"name": "fap", "f": "0.5,0.5"}},
     {"policy": {"name": "fap", "f": [0.5, "0.5"]}},
+    {"label": [1, 2]},
+    {"label": 3},
 ])
 def test_mistyped_run_config_rejected(change, tmp_path, capsys):
     # each of these used to end in a TypeError traceback, or, for streams
-    # given as an object, in a misleading "give exactly one of 'rate' or 'P'"
+    # given as an object, in a misleading "give exactly one of 'rate' or 'P'";
+    # a label that is not a string used to reach the CSV as its str()
     config = write_json(tmp_path / "run.json", {
         "workload": _WORKLOAD, "policy": {"name": "fap"}, "replications": 2,
         **change})

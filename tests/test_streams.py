@@ -266,9 +266,56 @@ def test_sample_trace_matches_the_per_job_reference(params, horizon, seed, floor
     with mock.patch.object(streams, "_exponential",
                            _floored if floored else streams._exponential):
         got, want = sample_trace(spec), sample_trace_reference(spec)
+    _assert_same_jobs(got, want)
+
+
+def _assert_same_jobs(got, want):
     assert type(got) is list and len(got) == len(want)
     for a, b in zip(got, want):
         assert type(a) is Job
         for name in _FIELDS:
             x, y = getattr(a, name), getattr(b, name)
             assert x == y and type(x) is type(y), (name, x, y)
+
+
+def _numpy_substream(seed, stream_id, kind):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, kind)))
+
+
+def _shrunk(rng, mean, n):
+    # draws a quarter as long: a stream's first chunk of gaps ends before the
+    # horizon, so the sampler goes on in chunks of 1024
+    return 0.25 * (-mean * np.log1p(-rng.random(n)))
+
+
+def _sampled_both_ways(spec):
+    """``sample_trace(spec)`` on the package's substreams and on numpy's."""
+    got = sample_trace(spec)
+    with mock.patch.object(streams, "_substream", _numpy_substream):
+        return got, sample_trace(spec)
+
+
+@given(params=st.lists(_stream_params, min_size=1, max_size=4),
+       horizon=st.sampled_from([1.0, 700.0, 3000.0]), seed=st.integers(0, 2**64 - 1),
+       shrunk=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sample_trace_draws_what_numpy_draws(params, horizon, seed, shrunk):
+    # helpers.sample_trace_reference draws through _substream too, so only
+    # this comparison catches a substream that drifts from numpy's
+    spec = WorkloadSpec(tuple(StreamSpec(i, *p) for i, p in enumerate(params)),
+                        horizon, seed)
+    with mock.patch.object(streams, "_exponential",
+                           _shrunk if shrunk else streams._exponential):
+        _assert_same_jobs(*_sampled_both_ways(spec))
+
+
+def test_sample_trace_draws_what_numpy_draws_past_the_first_chunk():
+    # stream 0 expects 5,000 arrivals: a first chunk of 6,016 gaps, longer
+    # than one block of the port, then, shrunk, about 14 chunks of 1024
+    spec = WorkloadSpec((StreamSpec(0, 0.05, 5.0, 20.0, 1.0),
+                         StreamSpec(1, 0.002, 60.0, 300.0, 2.5)), 1e5, 2**64 - 1)
+    with mock.patch.object(streams, "_exponential", _shrunk):
+        got, want = _sampled_both_ways(spec)
+    first_chunk = int(spec.horizon * 0.05 * 1.2) + 16
+    assert sum(j.stream == 0 for j in got) > first_chunk + 2 * 1024
+    _assert_same_jobs(got, want)
