@@ -17,14 +17,15 @@ generation with arbitrary strides", 1994)
 
 with ``G`` one table shared by every generator, built by doubling on the
 first draw. 128-bit values are split over two uint64 arrays (high, low
-word). All wrapping arithmetic is done on uint64 arrays and ``numpy.uint64``
-scalars: numpy 1.x promotes a Python-int operand, and a product of two
-numpy scalars warns on overflow.
+word). All wrapping arithmetic is done by numpy ufuncs on uint64 arrays;
+a ``numpy.uint64`` scalar is made from a Python int and only ever passed to
+a ufunc, never to a Python operator: numpy 1.x turns a uint64 scalar and a
+Python int into a float64, on which shifts and masks fail, and a product of
+two numpy scalars warns on overflow.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import index as as_index
 
 import numpy as np
@@ -71,7 +72,6 @@ def seed_state(entropy: int, spawn_key, n: int = 1) -> list[int]:
     non-integer one a TypeError, as in numpy.
     """
     pool, const = _entropy_pool(as_index(entropy))  # TypeError for a float, a str or None
-    pool = list(pool)
     for key in spawn_key:
         for word in _words32(key):
             const = _absorb(pool, word, const)
@@ -104,13 +104,9 @@ def _absorb(pool: list[int], word: int, const: int, skip: int = -1) -> int:
     return const
 
 
-@lru_cache(maxsize=16)
-def _entropy_pool(entropy: int) -> tuple[tuple[int, ...], int]:
-    """The pool once ``entropy`` is mixed in, and the running hash constant.
-
-    The spawn key is mixed in after this, so every substream of one seed
-    starts from the same pool; a trace's 12 substreams share one seed.
-    """
+def _entropy_pool(entropy: int) -> tuple[list[int], int]:
+    """The pool once ``entropy`` is mixed in, and the running hash constant;
+    the spawn key is mixed in after this."""
     words = _words32(entropy)
     words += [0] * (_POOL_SIZE - len(words))
     pool, const = [], _INIT_A
@@ -121,7 +117,7 @@ def _entropy_pool(entropy: int) -> tuple[tuple[int, ...], int]:
         const = _absorb(pool, pool[src], const, skip=src)
     for word in words[_POOL_SIZE:]:
         const = _absorb(pool, word, const)
-    return tuple(pool), const
+    return pool, const
 
 
 def _affine(table, m: int, mult: int, add: int, work):
@@ -137,8 +133,10 @@ def _affine(table, m: int, mult: int, add: int, work):
     """
     low, low0, low1, high = table[:, :m]
     w = work[:, :m]
-    mh, ml, ah, al = (np.uint64(v) for v in divmod(mult, 1 << 64) + divmod(add, 1 << 64))
-    ml0, ml1, al0, al1 = (np.uint64(v & _MASK32) for v in (ml, ml >> 32, al, al >> 32))
+    # split as Python ints, so that no numpy scalar meets a Python int
+    mh, ml, ah, al = divmod(mult, 1 << 64) + divmod(add, 1 << 64)
+    ml0, ml1, al0, al1 = (np.uint64(v) for v in (ml & _MASK32, ml >> 32, al & _MASK32, al >> 32))
+    mh, ml, ah, al = (np.uint64(v) for v in (mh, ml, ah, al))
     np.multiply(low0, ml0, out=w[0])
     np.add(w[0], al0, out=w[0])
     np.right_shift(w[0], _U32, out=w[0])

@@ -77,3 +77,38 @@ def test_the_jump_table_is_built_on_the_first_draw():
               "assert rng._table is not None")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def _strict(scalar_type):
+    """A subclass of a numpy scalar type on which every Python operator fails."""
+    def refuse(self, other=None):
+        raise TypeError(f"a Python operator on the numpy scalar {self!r}")
+    ops = ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow",
+           "lshift", "rshift", "and", "or", "xor")
+    methods = {f"__{side}{op}__": refuse for op in ops for side in ("", "r")}
+    methods.update(__neg__=refuse, __invert__=refuse)
+    return type(f"Strict{scalar_type.__name__}", (scalar_type,), methods)
+
+
+class _StrictNumpy:
+    """numpy, but its ``uint64`` and ``float64`` scalars refuse Python operators."""
+    uint64, float64 = _strict(np.uint64), _strict(np.float64)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1.x applies its own promotion rules to every test here")
+def test_no_python_operator_meets_a_numpy_scalar(monkeypatch):
+    # numpy 1.x promotes a uint64 scalar and a Python int to float64, where
+    # shifts and masks fail; numpy 2 does not, so the port is run with
+    # scalars that refuse every operator, from the table build on
+    strict = _StrictNumpy()
+    monkeypatch.setattr(rng, "np", strict)
+    monkeypatch.setattr(rng, "_table", None)
+    for name, value in list(vars(rng).items()):
+        if isinstance(value, (np.uint64, np.float64)):
+            monkeypatch.setattr(rng, name, getattr(strict, type(value).__name__)(value))
+    _assert_same_draws(2**64 - 1, (2**40, 3), [1, BLOCK + 1, 5])
+    assert rng._table is not None
