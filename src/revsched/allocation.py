@@ -8,19 +8,20 @@ halve the step on failure) is run from several deterministic starting
 points and the best local optimum kept. Gradient methods are avoided on
 purpose: the truncated series behind the revenue function makes numeric
 derivatives noisy.
+
+A near-tie between distant optima is logged at INFO on the
+``revsched.allocation`` logger; ``logging`` is imported only there, so a
+campaign, which never logs, does not load it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from . import queueing
 from .errors import ConfigError
 from .streams import StreamSpec
-
-logger = logging.getLogger(__name__)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SIMPLEX_EPS = 1e-12
@@ -154,7 +155,9 @@ def _optimize_many(obj: _Objective, n: int, tol: float) -> None:
     if len(distinct) > 1 and any(
             max(abs(a - b) for a, b in zip(p, local_optima[0][1])) > 10 * tol
             for p in distinct):
-        logger.info("multiple near-optimal allocations observed: %s", sorted(distinct))
+        import logging  # lazily: see the module docstring
+        logging.getLogger(__name__).info("multiple near-optimal allocations observed: %s",
+                                         sorted(distinct))
 
 
 def _transfer_search(obj: _Objective, point: list[float], tol: float):

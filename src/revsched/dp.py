@@ -26,11 +26,14 @@ buffers is flat and holds a zero row, V and a copy of V's last row, so the
 values after one job more or less in queue 1 are contiguous views of it;
 the queue-2 shifts are copied. An empty queue's serve reward is -inf, so
 its action drops out of the maximum with no masking pass.
+
+A sized cap that leaves more tail mass than ``CAP_TAIL_TOL`` is a warning
+on the ``revsched.dp`` logger; ``logging`` is imported only there, so a
+campaign, which never logs, does not load it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -40,8 +43,6 @@ from .errors import ConfigError, NumericalError, require_finite, require_int
 from .queueing import MAX_TERMS, SERIES_TOL, QueueParams
 from .sim import QueuePolicy
 from .streams import StreamSpec
-
-logger = logging.getLogger(__name__)
 
 #: Ceiling of the sized cap.
 DEFAULT_CAP = 150
@@ -69,8 +70,10 @@ class SdpModel:
         if self.cap is None:
             object.__setattr__(self, "cap", self._sized_cap())
             if self.tail_bound > CAP_TAIL_TOL:
-                logger.warning("queue cap %d leaves tail mass %.3g > %g",
-                               self.cap, self.tail_bound, CAP_TAIL_TOL)
+                import logging  # lazily: see the module docstring
+                logging.getLogger(__name__).warning(
+                    "queue cap %d leaves tail mass %.3g > %g",
+                    self.cap, self.tail_bound, CAP_TAIL_TOL)
         else:
             require_int("cap", self.cap, 1, MAX_CAP + 1)
 

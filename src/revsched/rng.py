@@ -15,13 +15,14 @@ generation with arbitrary strides", 1994)
 
     s_j = s + d * G_j,   d = (a - 1) s + c,   G_j = 1 + a + ... + a^(j-1),
 
-with ``G`` one table shared by every generator, built by doubling on the
-first draw. 128-bit values are split over two uint64 arrays (high, low
-word). All wrapping arithmetic is done by numpy ufuncs on uint64 arrays;
-a ``numpy.uint64`` scalar is made from a Python int and only ever passed to
-a ufunc, never to a Python operator: numpy 1.x turns a uint64 scalar and a
-Python int into a float64, on which shifts and masks fail, and a product of
-two numpy scalars warns on overflow.
+with ``G`` one table shared by every generator, built from its recurrence
+``G_(j+1) = a G_j + 1`` in Python ints on the first draw. 128-bit values
+are split over two uint64 arrays (high, low word). All wrapping arithmetic
+is done by numpy ufuncs on uint64 arrays; a ``numpy.uint64`` scalar is made
+from a Python int and only ever passed to a ufunc, never to a Python
+operator: numpy 1.x turns a uint64 scalar and a Python int into a float64,
+on which shifts and masks fail, and a product of two numpy scalars warns on
+overflow.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-#: PCG64's LCG multiplier, and the 128-bit word mask.
+#: PCG64's LCG multiplier, and the 64- and 128-bit word masks.
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 #: States computed per vectorized step; the jump table has this many entries.
 _BLOCK = 4096
 
@@ -158,30 +159,23 @@ def _affine(table, m: int, mult: int, add: int, work):
     return w[6], w[7]
 
 
-def _store(table, j: int, hi, lo) -> None:
-    """Write entries ``j, j + 1, ...`` of the jump table from their words."""
-    low, low0, low1, high = table[:, j:j + len(lo)]
-    low[:], high[:] = lo, hi
-    np.bitwise_and(lo, _LOW32, out=low0)
-    np.right_shift(lo, _U32, out=low1)
-
-
 _table = None  # built on the first draw
 
 
 def _jump_table():
-    """The table ``G_1 .. G_BLOCK``, built by doubling: ``G_(m+j) = G_m + a^m G_j``."""
+    """The table ``G_1 .. G_BLOCK``, from ``G_1 = 1`` and ``G_(j+1) = a G_j + 1``
+    in Python ints, split into the four rows that ``_affine`` reads."""
     global _table
     if _table is None:
+        g, entries = 1, []
+        for _ in range(_BLOCK):
+            entries.append(g)
+            g = (_MULT * g + 1) & _MASK128
         table = np.empty((4, _BLOCK), np.uint64)
-        work = np.empty((8, _BLOCK // 2), np.uint64)
-        _store(table, 0, np.zeros(1, np.uint64), np.ones(1, np.uint64))  # G_1 = 1
-        m = 1
-        while m < _BLOCK:
-            k = min(m, _BLOCK - m)
-            g_m = int(table[3, m - 1]) << 64 | int(table[0, m - 1])
-            _store(table, m, *_affine(table, k, pow(_MULT, m, 1 << 128), g_m, work))
-            m += k
+        table[0] = [g & _MASK64 for g in entries]
+        table[3] = [g >> 64 for g in entries]
+        np.bitwise_and(table[0], _LOW32, out=table[1])
+        np.right_shift(table[0], _U32, out=table[2])
         _table = table
     return _table
 

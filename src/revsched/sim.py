@@ -8,7 +8,9 @@ row once: total rate, busy fraction and cumulative event walk, plus one
 successor link and one hit count per walk index. A link is filled the first
 time its transition is taken, so an event is a clock draw, a bisection of
 the walk, a hit and a step along the link. Arrivals, expiries, completions
-and revenue are summed from the hits when the run ends. This relies on
+and revenue are summed from the hits when the run ends, and that same pass
+clears every successor list: the links are the only cycle in the table, so
+reference counting frees it when the run returns. This relies on
 ``QueuePolicy.service_rates`` being a pure function of the queue lengths.
 The CTMC engine draws every random number from ``random.Random``, and
 ``derive_seed`` derives replication seeds with ``rng.seed_state``, a
@@ -189,7 +191,10 @@ def run_ctmc(specs, policy: QueuePolicy, horizon: float, seed: int) -> SimMetric
     expirations = [0] * n
     completions = [0] * n
     counts = (arrivals, expirations, completions)
-    for *_, hits, _, row_events in rows.values():
+    # the successor links make the rows a cycle; clearing them here lets
+    # reference counting free the table on return
+    for *_, succ, hits, _, row_events in rows.values():
+        succ.clear()
         for (kind, i), hit in zip(row_events, hits):
             counts[kind][i] += hit
     # the same left fold of rewards as adding one per completion

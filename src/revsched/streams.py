@@ -13,11 +13,13 @@ stream never perturbs the samples of the others. A substream is
 bit, those of numpy's ``default_rng(SeedSequence(seed, spawn_key=(stream_id,
 kind)))``, without loading ``numpy.random``. Exponential variates are drawn
 by inverse CDF, ``-mean * log1p(-u)``.
+
+``json`` is imported only inside ``load_json``: the campaigns read no file,
+so they do not load it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import attrgetter
@@ -196,6 +198,8 @@ def workload_from_dict(data: dict) -> WorkloadSpec:
 
 def load_json(path, what: str):
     """Parse the JSON file ``path``; an unreadable or malformed file is a ConfigError."""
+    import json  # lazily: see the module docstring
+
     try:
         with open(path) as fh:
             return json.load(fh)

@@ -6,9 +6,9 @@ share: it rises with the stream's peak revenue rate ``v * s``, with the
 deadline-miss pressure of the queue, and with the queue length itself,
 converging monotonically to ``v * s`` as the queue grows.
 
-Two algebraically equivalent evaluations are provided; the second goes
-through the explicit marginal-value difference and exists as an
-independent cross-check of the first.
+The tests cross-check it against an algebraically equivalent evaluation
+through the explicit marginal-value difference, which lives in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -52,21 +52,6 @@ def _priority_row(s: StreamSpec, f_i: float, first: int, last: int) -> np.ndarra
         raise NumericalError(f"stream {s.id}: empty probability underflows (r/d {r / d:.3g})")
     shifted = sf + np.arange(first, last + 1) * d
     return peak * (1.0 - (sf * base) / (shifted * pi0_many(r, shifted, d)))
-
-
-def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
-    """Same index assembled from the marginal value drop; cross-check path.
-
-    The drop is the expected revenue lost per service by pulling one job
-    out of queue ``l``.
-    """
-    require_int("queue length", l, 1)
-    sf = s.service_rate * f_i
-    d = s.deadline_rate
-    pi0_base = pi0(QueueParams(s.arrival_rate, sf, d))
-    pi0_shifted = pi0(QueueParams(s.arrival_rate, sf + l * d, d))
-    drop = (s.reward * sf * pi0_base) / ((sf + l * d) * pi0_shifted)
-    return s.service_rate * (s.reward - drop)
 
 
 @dataclass(frozen=True)

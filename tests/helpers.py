@@ -14,9 +14,10 @@ import numpy as np
 
 from revsched import streams
 from revsched.dp import DEFAULT_TOL, IDLE, MAX_ITERS, SERVE_1, SERVE_2, SdpSolution
-from revsched.errors import ConfigError, InvariantError, NumericalError
+from revsched.errors import ConfigError, InvariantError, NumericalError, require_int
+from revsched.queueing import QueueParams, pi0
 from revsched.sim import _COMPLETION_EPS, SimMetrics, TracePolicy
-from revsched.streams import Job
+from revsched.streams import Job, StreamSpec
 
 
 def fresh_copy(job: Job) -> Job:
@@ -94,6 +95,22 @@ def lookup(table, stream: int, l: int) -> float:
         raise ConfigError(f"queue length must be >= 1, got {l}")
     row = table.z[stream]
     return row[l - 1] if l <= len(row) else table.limit_value[stream]
+
+
+def priority_via_value_difference(s: StreamSpec, f_i: float, l: int) -> float:
+    """``zindex.priority`` assembled from the marginal value drop; the
+    cross-check of that evaluation.
+
+    The drop is the expected revenue lost per service by pulling one job
+    out of queue ``l``.
+    """
+    require_int("queue length", l, 1)
+    sf = s.service_rate * f_i
+    d = s.deadline_rate
+    pi0_base = pi0(QueueParams(s.arrival_rate, sf, d))
+    pi0_shifted = pi0(QueueParams(s.arrival_rate, sf + l * d, d))
+    drop = (s.reward * sf * pi0_base) / ((sf + l * d) * pi0_shifted)
+    return s.service_rate * (s.reward - drop)
 
 
 class BoundedRandom(random.Random):

@@ -24,6 +24,8 @@ from revsched.cli import main
 from revsched.queueing import QueueParams, pi0, stationary
 from revsched.streams import StreamSpec
 
+from helpers import priority_via_value_difference
+
 
 def verdict(capsys, number, ok, detail):
     with capsys.disabled():
@@ -288,7 +290,7 @@ def test_criterion_10_priority_index_grid(capsys):
         worst_limit = max(worst_limit,
                           (bound - zindex.priority(s, f, 10**6)) / bound)
         for l in (1, 3, 10, 40):
-            other = zindex.priority_via_value_difference(s, f, l)
+            other = priority_via_value_difference(s, f, l)
             worst_agree = max(worst_agree, abs(row[l - 1] - other) / bound)
     if worst_limit > 1e-4:
         problems.append(f"limit approach {worst_limit:.2e} > 1e-4")

@@ -1,5 +1,7 @@
 """Fractional-allocation optimizer behavior."""
 
+import logging
+
 import pytest
 
 from revsched.allocation import AllocationVector, optimize
@@ -62,6 +64,15 @@ def test_three_streams_dominates_probes():
               (0.6, 0.2, 0.2), (0.2, 0.2, 0.6)]
     for p in probes:
         assert result.v_star >= total_revenue(streams, p) - 1e-9
+
+
+def test_near_tied_optima_are_logged(caplog):
+    # so overloaded that every queue stays busy: the revenue is nearly the
+    # same at every allocation, and the starts end at distant optima
+    streams = [spec(i, 10, 600, 1.0, 1e4) for i in range(3)]
+    with caplog.at_level(logging.INFO, logger="revsched.allocation"):
+        optimize(streams, tol=1e-2)
+    assert "multiple near-optimal allocations" in caplog.text
 
 
 def test_allocation_vector_validation():

@@ -1,5 +1,6 @@
 """Engine behavior on hand-built traces and cross-engine consistency."""
 
+import gc
 import math
 import random
 from operator import attrgetter
@@ -15,6 +16,7 @@ from revsched.dp import SdpModel, SdpQueuePolicy, solve
 from revsched.errors import ConfigError, InvariantError
 from revsched.policies import (EdfPolicy, FapQueuePolicy, FapRoundRobinPolicy, RedfPolicy,
                                RobustPolicy, ZQueuePolicy, ZTracePolicy)
+from revsched.presets import table1_workload
 from revsched.sim import (SimMetrics, TracePolicy, derive_seed, replicate, run_ctmc,
                           run_trace, summarize)
 from revsched.streams import Job, StreamSpec, WorkloadSpec, sample_trace
@@ -226,6 +228,28 @@ def test_ctmc_long_horizon_over_few_states_matches_the_reference():
     assert m == run_ctmc_reference(specs, uncached, 1e6, seed=5)
     events = sum(m.arrivals) + sum(m.completions) + sum(m.expirations)
     assert len(cached.asked) < 50 and events > 1000 * len(cached.asked)
+
+
+@pytest.mark.parametrize("engine", ["fap", "z", "sdp", "trace"])
+def test_a_run_leaves_no_cyclic_garbage(engine):
+    # the CTMC row table links rows to their successors; the run must break
+    # those cycles, so reference counting alone frees the table
+    workload = table1_workload(1)
+    specs = list(workload.streams)
+    if engine == "trace":
+        trace = sim.Trace(sample_trace(workload))
+        policy = ZTracePolicy(build_table(specs, AllocationVector((0.5, 0.5)), 16))
+        run = lambda: run_trace(specs, trace, policy, workload.horizon)
+    else:
+        policy = _queue_policy(engine, specs, [1, 1])
+        run = lambda: run_ctmc(specs, policy, workload.horizon, seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("horizon", [float("inf"), float("nan"), -1.0])

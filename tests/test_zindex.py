@@ -10,10 +10,9 @@ from revsched.allocation import AllocationVector
 from revsched.errors import ConfigError, NumericalError
 from revsched.queueing import pi0
 from revsched.streams import StreamSpec
-from revsched.zindex import (PriorityTable, build_table, priority,
-                             priority_via_value_difference)
+from revsched.zindex import PriorityTable, build_table, priority
 
-from helpers import lookup
+from helpers import lookup, priority_via_value_difference
 
 # Frozen oracles (mpmath, 60 digits): stream r=1/350, mean_exec=600,
 # mean_deadline=1000, reward=1, share f=0.5.
