@@ -233,7 +233,10 @@ class RobustPolicy(TracePolicy):
         self.odd_job = None
 
     def on_completion(self, job, now):
-        self.pending.remove(job)
+        try:  # inline, not super(): this runs once per job of a campaign
+            self.pending.remove(job)
+        except ValueError:
+            raise InvariantError(f"job not held by the policy: {job}") from None
         if self.phase == "odd" and job is self.odd_job:
             self._end_odd(now)
 

@@ -17,12 +17,13 @@ generation with arbitrary strides", 1994)
 
 with ``G`` one table shared by every generator, built from its recurrence
 ``G_(j+1) = a G_j + 1`` in Python ints on the first draw. 128-bit values
-are split over two uint64 arrays (high, low word). All wrapping arithmetic
-is done by numpy ufuncs on uint64 arrays; a ``numpy.uint64`` scalar is made
-from a Python int and only ever passed to a ufunc, never to a Python
-operator: numpy 1.x turns a uint64 scalar and a Python int into a float64,
-on which shifts and masks fail, and a product of two numpy scalars warns on
-overflow.
+are split over two uint64 arrays (high, low word), and all wrapping
+arithmetic is uint64 array expressions. Only ``numpy.uint64`` constants,
+made from Python ints, meet a uint64 array, never a Python int; and a numpy
+scalar is an operand only on the right of an array or an argument of a
+ufunc (``np.subtract(_U64, rot)``, not ``_U64 - rot``). numpy 1.x turns a
+uint64 scalar and a Python int into a float64, on which shifts and masks
+fail, and a product of two numpy scalars warns on overflow.
 """
 
 from __future__ import annotations
@@ -65,23 +66,32 @@ def seed_state(entropy: int, spawn_key, n: int = 1) -> list[int]:
     .generate_state(n, numpy.uint64)`` as a list of Python integers.
 
     Computed with Python integers as numpy does: the entropy's 32-bit words
-    padded to the pool of 4, then each spawn-key element's words, hashed and
-    mixed into the pool; the output words take the same hash from its own
-    constants and are joined little-endian. (numpy pads only when there is a
-    spawn key, but an unpadded pool is filled with the hash of 0, which is
-    the same.) A negative entropy or key element is a ValueError and a
-    non-integer one a TypeError, as in numpy.
+    padded to the pool of 4, then each spawn-key element's words; the first
+    4 are hashed into the pool, every pool word is mixed into every other,
+    and the rest are mixed in one by one. The output words take the same
+    hash from its own constants and are joined little-endian. (numpy pads
+    only when there is a spawn key, but an unpadded pool is filled with the
+    hash of 0, which is the same.) A negative entropy or key element is a
+    ValueError and a non-integer one a TypeError, as in numpy.
     """
-    pool, const = _entropy_pool(as_index(entropy))  # TypeError for a float, a str or None
+    words = _words32(entropy)
+    words += [0] * (_POOL_SIZE - len(words))
     for key in spawn_key:
-        for word in _words32(key):
-            const = _absorb(pool, word, const)
+        words += _words32(key)
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):  # every pool word into every other
+        const = _absorb(pool, pool[src], const, skip=src)
+    for word in words[_POOL_SIZE:]:
+        const = _absorb(pool, word, const)
     const = _INIT_B
-    words = []
+    out = []
     for k in range(2 * n):
         value, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
-        words.append(value)
-    return [words[k] | words[k + 1] << 32 for k in range(0, 2 * n, 2)]
+        out.append(value)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 2 * n, 2)]
 
 
 def _hashmix(value: int, const: int, mult: int = _MULT_A) -> tuple[int, int]:
@@ -105,58 +115,25 @@ def _absorb(pool: list[int], word: int, const: int, skip: int = -1) -> int:
     return const
 
 
-def _entropy_pool(entropy: int) -> tuple[list[int], int]:
-    """The pool once ``entropy`` is mixed in, and the running hash constant;
-    the spawn key is mixed in after this."""
-    words = _words32(entropy)
-    words += [0] * (_POOL_SIZE - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL_SIZE]:
-        word, const = _hashmix(word, const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):  # every pool word into every other
-        const = _absorb(pool, pool[src], const, skip=src)
-    for word in words[_POOL_SIZE:]:
-        const = _absorb(pool, word, const)
-    return pool, const
-
-
-def _affine(table, m: int, mult: int, add: int, work):
+def _affine(table, m: int, mult: int, add: int):
     """The high and low words of ``(add + mult * G_j) mod 2**128`` for the
-    first ``m`` table entries ``G_j``, as views of rows 6 and 7 of ``work``,
-    a uint64 array of 8 rows and at least ``m`` columns.
+    first ``m`` table entries ``G_j``, as two new uint64 arrays.
 
-    The table's rows hold each entry's low word L, its 32-bit halves L0 and
-    L1, and its high word H. With ``mult`` and ``add`` split the same way,
-    the low word is ``L*ML + AL`` and the high word is ``L*MH + H*ML + AH``
-    plus the high word of ``L*ML + AL``, which comes from four 32-bit
-    partial products: each, plus two 32-bit terms, still fits in 64 bits.
+    The table's rows hold each entry's high word H and low word L. With
+    ``mult`` and ``add`` split the same way, the low word is ``L*ML + AL``
+    and the high word is ``L*MH + H*ML + AH`` plus the high word of
+    ``L*ML + AL``. That carry comes from four 32-bit partial products of
+    L's and ML's halves: each, plus two 32-bit terms, still fits in 64 bits.
     """
-    low, low0, low1, high = table[:, :m]
-    w = work[:, :m]
+    high, low = table[:, :m]
+    low0, low1 = low & _LOW32, low >> _U32
     # split as Python ints, so that no numpy scalar meets a Python int
     mh, ml, ah, al = divmod(mult, 1 << 64) + divmod(add, 1 << 64)
     ml0, ml1, al0, al1 = (np.uint64(v) for v in (ml & _MASK32, ml >> 32, al & _MASK32, al >> 32))
     mh, ml, ah, al = (np.uint64(v) for v in (mh, ml, ah, al))
-    np.multiply(low0, ml0, out=w[0])
-    np.add(w[0], al0, out=w[0])
-    np.right_shift(w[0], _U32, out=w[0])
-    np.multiply(low1, ml0, out=w[1])
-    np.add(w[1], w[0], out=w[1])
-    np.add(w[1], al1, out=w[1])  # the 2**32 column, with the carry from below
-    np.bitwise_and(w[1], _LOW32, out=w[0])
-    np.right_shift(w[1], _U32, out=w[1])
-    np.multiply(low0, ml1, out=w[2])
-    np.add(w[2], w[0], out=w[2])  # the other 2**32 product, plus that column
-    np.right_shift(w[2], _U32, out=w[2])
-    np.multiply(low1, ml1, out=w[3])
-    np.add(w[3], ah, out=w[3])
-    np.multiply(low, mh, out=w[4])
-    np.multiply(high, ml, out=w[5])
-    np.add.reduce(w[1:6], axis=0, out=w[6])
-    np.multiply(low, ml, out=w[7])
-    np.add(w[7], al, out=w[7])
-    return w[6], w[7]
+    column = low1 * ml0 + ((low0 * ml0 + al0) >> _U32) + al1  # the 2**32 column, with its carry
+    carry = (column >> _U32) + ((low0 * ml1 + (column & _LOW32)) >> _U32)
+    return carry + low1 * ml1 + ah + low * mh + high * ml, low * ml + al
 
 
 _table = None  # built on the first draw
@@ -164,19 +141,15 @@ _table = None  # built on the first draw
 
 def _jump_table():
     """The table ``G_1 .. G_BLOCK``, from ``G_1 = 1`` and ``G_(j+1) = a G_j + 1``
-    in Python ints, split into the four rows that ``_affine`` reads."""
+    in Python ints, as two uint64 rows: the high words, then the low words."""
     global _table
     if _table is None:
-        g, entries = 1, []
+        g, high, low = 1, [], []
         for _ in range(_BLOCK):
-            entries.append(g)
+            high.append(g >> 64)
+            low.append(g & _MASK64)
             g = (_MULT * g + 1) & _MASK128
-        table = np.empty((4, _BLOCK), np.uint64)
-        table[0] = [g & _MASK64 for g in entries]
-        table[3] = [g >> 64 for g in entries]
-        np.bitwise_and(table[0], _LOW32, out=table[1])
-        np.right_shift(table[0], _U32, out=table[2])
-        _table = table
+        _table = np.array([high, low], np.uint64)
     return _table
 
 
@@ -203,23 +176,16 @@ class Pcg64:
         if n == 0:
             return out
         table = _jump_table()
-        work = np.empty((8, min(n, _BLOCK)), np.uint64)
         s = self._state
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            hi, lo = _affine(table, m, ((_MULT - 1) * s + self._inc) & _MASK128, s, work)
+            hi, lo = _affine(table, m, ((_MULT - 1) * s + self._inc) & _MASK128, s)
             s = int(hi[-1]) << 64 | int(lo[-1])
             # XSL-RR: the state's two words xor-ed, rotated right by its top
             # 6 bits. At rotation 0 the left shift is by 64, which numpy
             # defines as 0; a count masked to 0 instead would give the same x
-            u = work[5, :m]
-            np.bitwise_xor(hi, lo, out=lo)
-            np.right_shift(hi, _U58, out=hi)
-            np.subtract(_U64, hi, out=u)
-            np.left_shift(lo, u, out=u)
-            np.right_shift(lo, hi, out=lo)
-            np.bitwise_or(lo, u, out=lo)
-            np.right_shift(lo, _U11, out=lo)
-            np.multiply(lo, _UNIT, out=out[start:start + m])
+            rot, x = hi >> _U58, hi ^ lo
+            x = (x >> rot) | (x << np.subtract(_U64, rot))
+            np.multiply(x >> _U11, _UNIT, out=out[start:start + m])
         self._state = s
         return out

@@ -145,28 +145,30 @@ def sample_trace(spec: WorkloadSpec) -> list[Job]:
     """
     require_budget(spec.horizon * sum(s.arrival_rate for s in spec.streams), "jobs")
     jobs: list[Job] = []
-    for s in spec.streams:
-        gap_rng = _substream(spec.seed, s.id, _KIND_GAP)
-        mean_gap = 1.0 / s.arrival_rate
-        chunks = []
-        t = 0.0
-        chunk = max(16, int(spec.horizon * s.arrival_rate * 1.2) + 16)
-        while True:
-            gaps = _exponential(gap_rng, mean_gap, chunk)
-            times = t + np.cumsum(gaps)
-            inside = times[times < spec.horizon]
-            chunks.append(inside)
-            if len(inside) < len(times):
-                break
-            t = times[-1]
-            chunk = 1024
-        arr = np.concatenate(chunks)
-        n = len(arr)
-        execs = _exponential(_substream(spec.seed, s.id, _KIND_EXEC), s.mean_exec, n).tolist()
-        offsets = _exponential(_substream(spec.seed, s.id, _KIND_DEADLINE), s.mean_deadline, n)
-        # repeat() keeps the Python types of id and reward (an int stays an int)
-        jobs.extend(map(Job, repeat(s.id, n), arr.tolist(), execs, execs,
-                        (arr + offsets).tolist(), repeat(s.reward, n)))
+    # an overflowing draw or sum becomes inf, which a Trace refuses
+    with np.errstate(over="ignore"):
+        for s in spec.streams:
+            gap_rng = _substream(spec.seed, s.id, _KIND_GAP)
+            mean_gap = 1.0 / s.arrival_rate
+            chunks = []
+            t = 0.0
+            chunk = int(spec.horizon * s.arrival_rate * 1.2) + 16
+            while True:
+                gaps = _exponential(gap_rng, mean_gap, chunk)
+                times = t + np.cumsum(gaps)
+                inside = times[times < spec.horizon]
+                chunks.append(inside)
+                if len(inside) < len(times):
+                    break
+                t = times[-1]
+                chunk = 1024
+            arr = np.concatenate(chunks)
+            n = len(arr)
+            execs = _exponential(_substream(spec.seed, s.id, _KIND_EXEC), s.mean_exec, n).tolist()
+            offsets = _exponential(_substream(spec.seed, s.id, _KIND_DEADLINE), s.mean_deadline, n)
+            # repeat() keeps the Python types of id and reward (an int stays an int)
+            jobs.extend(map(Job, repeat(s.id, n), arr.tolist(), execs, execs,
+                            (arr + offsets).tolist(), repeat(s.reward, n)))
     # by arrival; the sort is stable and the jobs were built stream by stream
     # in id order, so equal arrivals stay by stream, then in sampled order
     jobs.sort(key=attrgetter("arrival"))

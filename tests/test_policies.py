@@ -536,6 +536,25 @@ def test_heap_policies_match_the_list_references_on_a_sampled_trace(rule):
         assert got == want
 
 
+@pytest.mark.parametrize("callback", ["on_completion", "on_expiry"])
+@pytest.mark.parametrize("name, params", [
+    ("edf", {}), ("redf", {"knowledge": "mean"}), ("redf", {"knowledge": "exact"}),
+    ("robust", {"knowledge": "exact"}), ("robust", {"knowledge": "mean"}),
+    ("policyz", {"f": [0.5, 0.5]}), ("fap", {"f": [0.5, 0.5]})],
+    ids=["edf", "redf-mean", "redf-exact", "robust-exact", "robust-mean", "policyz", "fap"])
+def test_a_trace_policy_refuses_a_job_it_does_not_hold(name, params, callback):
+    sp = specs2()
+    policy = make_policy(name, params, sp, "trace")
+    policy.bind(sp)
+    held = job(0, 0.0, 5.0, 10.0)
+    policy.on_arrival(held, 0.0)
+    with pytest.raises(InvariantError, match="not held"):
+        getattr(policy, callback)(job(0, 0.0, 5.0, 10.0), 1.0)  # equal fields, another job
+    getattr(policy, callback)(held, 1.0)
+    with pytest.raises(InvariantError, match="not held"):
+        getattr(policy, callback)(held, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # construction by name
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -319,3 +323,20 @@ def test_sample_trace_draws_what_numpy_draws_past_the_first_chunk():
     first_chunk = int(spec.horizon * 0.05 * 1.2) + 16
     assert sum(j.stream == 0 for j in got) > first_chunk + 2 * 1024
     _assert_same_jobs(got, want)
+
+
+def test_an_overflowing_draw_is_a_config_error_under_warnings_as_errors(tmp_path):
+    # mean_exec * -log1p(-u) overflows to inf; under -W error (the CI unit
+    # step) numpy's overflow warning used to end in a traceback
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "workload": {"streams": [{"rate": 0.001, "mean_exec": 1e308, "mean_deadline": 10.0,
+                                  "value": 1.0}], "horizon": 1e5, "seed": 0},
+        "policy": {"name": "edf"}, "replications": 2}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "revsched.cli", "simulate",
+                           str(config)], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    assert "error: malformed job" in done.stderr
+    assert "Traceback" not in done.stderr
